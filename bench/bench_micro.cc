@@ -22,6 +22,7 @@
 #include "runtime/dist_executor.h"
 #include "runtime/trainer.h"
 #include "tensor/alloc.h"
+#include "tensor/kernels.h"
 #include "tensor/ops.h"
 
 namespace {
@@ -405,4 +406,16 @@ BENCHMARK(BM_MemProfilerRecord);
 
 } // namespace
 
-BENCHMARK_MAIN();
+int
+main(int argc, char** argv)
+{
+    // Kernel rows from different ISA paths do not compare; record which
+    // path ran in the JSON context (docs/PERFORMANCE.md, "ISA dispatch").
+    benchmark::AddCustomContext(
+        "kernel_isa", slapo::kernels::isaName(slapo::kernels::kernels().isa));
+    benchmark::Initialize(&argc, argv);
+    if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+    benchmark::RunSpecifiedBenchmarks();
+    benchmark::Shutdown();
+    return 0;
+}

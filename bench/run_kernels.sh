@@ -27,7 +27,9 @@ out="$repo_root/BENCH_kernels.json"
 
 # Stamp the run's provenance into the JSON context block so a result file
 # is comparable later: which commit, how many kernel threads, and what
-# compiler flags produced the binary.
+# compiler flags produced the binary. bench_micro itself records which
+# ISA path the dispatched kernels took as "kernel_isa"; refuse a file
+# without it, since rows from different paths do not compare.
 git_sha="$(git -C "$repo_root" rev-parse HEAD 2>/dev/null || echo unknown)"
 git_dirty="$(git -C "$repo_root" status --porcelain 2>/dev/null | head -1)"
 [[ -n "$git_dirty" ]] && git_sha="$git_sha-dirty"
@@ -51,6 +53,8 @@ path, sha, threads, build_type, flags = sys.argv[1:6]
 with open(path) as f:
     doc = json.load(f)
 doc.setdefault("context", {})
+if not doc["context"].get("kernel_isa"):
+    sys.exit(f"error: {path} has no kernel_isa in its context")
 doc["context"]["git_sha"] = sha
 doc["context"]["slapo_num_threads"] = int(threads)
 doc["context"]["cmake_build_type"] = build_type

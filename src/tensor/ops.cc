@@ -6,6 +6,7 @@
 
 #include "support/parallel.h"
 #include "tensor/alloc.h"
+#include "tensor/kernels.h"
 
 namespace slapo {
 namespace ops {
@@ -594,77 +595,14 @@ reduceToShape(const Tensor& grad_out, const Shape& shape)
 
 namespace {
 
-// --- blocked GEMM microkernel --------------------------------------------
+// --- blocked GEMM ---------------------------------------------------------
 //
-// The one microkernel behind matmul, linear forward, and both linear
-// backward GEMMs. Output is tiled kRowTile x kColTile; the tile lives in
-// registers / L1 stack while the k loop streams A columns and B rows
-// through it, so every C element is written exactly once and every B row
-// is reused kRowTile times per pass. Accumulation is float, k ascending —
-// a summation order that depends only on the shapes, never on threading.
+// matmul, linear forward, and both linear backward GEMMs run the one
+// dispatched microkernel (kernels.h) over row tiles. Each C element is a
+// float sum over k ascending whose order depends only on the shapes, so
+// any split of rows across threads, and any ISA path, gives the same bits.
 
-constexpr int64_t kRowTile = 4;  // output rows accumulated together (M tile)
-constexpr int64_t kColTile = 64; // accumulator width in floats (N tile)
-
-/**
- * C[i0:i1, :] = A[i0:i1, :] @ B (+ bias), all row-major contiguous:
- * A is [m, k], B is [k, n], C is [m, n]. When `bias` is non-null it is a
- * length-n row added to every output row (seeded into the accumulator).
- * Row ranges are the unit of parallelism: disjoint [i0, i1) ranges touch
- * disjoint C rows, so any partitioning of rows is race-free and
- * bit-deterministic.
- */
-void
-gemmRows(const float* A, const float* B, float* C, int64_t i0, int64_t i1,
-         int64_t k, int64_t n, const float* bias)
-{
-    float acc[kRowTile][kColTile];
-    for (int64_t i = i0; i < i1; i += kRowTile) {
-        const int64_t rt = std::min(kRowTile, i1 - i);
-        for (int64_t j = 0; j < n; j += kColTile) {
-            const int64_t jt = std::min(kColTile, n - j);
-            for (int64_t r = 0; r < rt; ++r) {
-                for (int64_t c = 0; c < jt; ++c) {
-                    acc[r][c] = bias ? bias[j + c] : 0.0f;
-                }
-            }
-            if (rt == kRowTile && jt == kColTile) {
-                // Full tile: fixed trip counts so the compiler keeps the
-                // j loop vectorized and the four A broadcasts in registers.
-                for (int64_t kk = 0; kk < k; ++kk) {
-                    const float* brow = B + kk * n + j;
-                    const float a0 = A[(i + 0) * k + kk];
-                    const float a1 = A[(i + 1) * k + kk];
-                    const float a2 = A[(i + 2) * k + kk];
-                    const float a3 = A[(i + 3) * k + kk];
-                    for (int64_t c = 0; c < kColTile; ++c) {
-                        const float bv = brow[c];
-                        acc[0][c] += a0 * bv;
-                        acc[1][c] += a1 * bv;
-                        acc[2][c] += a2 * bv;
-                        acc[3][c] += a3 * bv;
-                    }
-                }
-            } else {
-                for (int64_t kk = 0; kk < k; ++kk) {
-                    const float* brow = B + kk * n + j;
-                    for (int64_t r = 0; r < rt; ++r) {
-                        const float ar = A[(i + r) * k + kk];
-                        for (int64_t c = 0; c < jt; ++c) {
-                            acc[r][c] += ar * brow[c];
-                        }
-                    }
-                }
-            }
-            for (int64_t r = 0; r < rt; ++r) {
-                float* crow = C + (i + r) * n + j;
-                for (int64_t c = 0; c < jt; ++c) {
-                    crow[c] = acc[r][c];
-                }
-            }
-        }
-    }
-}
+constexpr int64_t kRowTile = kernels::kGemmRowTile;
 
 /** Row-tile grain sized so one chunk is ~2^18 flops (thread-independent). */
 int64_t
@@ -682,37 +620,28 @@ void
 gemmParallel(const float* A, const float* B, float* C, int64_t m, int64_t k,
              int64_t n, const float* bias)
 {
+    const auto gemm_rows = kernels::kernels().gemm_rows;
     const int64_t row_tiles = (m + kRowTile - 1) / kRowTile;
     support::parallelFor(0, row_tiles, gemmGrain(k, n),
                          [&](int64_t lo, int64_t hi) {
-        gemmRows(A, B, C, lo * kRowTile, std::min(m, hi * kRowTile), k, n,
-                 bias);
+        gemm_rows(A, B, C, lo * kRowTile, std::min(m, hi * kRowTile), k, n,
+                  bias);
     });
 }
 
 /**
  * Blocked transpose pack: dst[c, r] = src[r, c] for src [rows, cols].
  * Used to present W^T (linear forward) and g^T (weight gradient) to the
- * row-major microkernel. 32x32 tiles keep both sides cache-resident.
+ * row-major microkernel.
  */
 void
 transposePack(const float* src, float* dst, int64_t rows, int64_t cols)
 {
-    constexpr int64_t kT = 32;
-    const int64_t col_tiles = (cols + kT - 1) / kT;
+    const auto transpose_tiles = kernels::kernels().transpose_tiles;
+    const int64_t col_tiles =
+        (cols + kernels::kTransposeTile - 1) / kernels::kTransposeTile;
     support::parallelFor(0, col_tiles, 4, [&](int64_t lo, int64_t hi) {
-        for (int64_t ct = lo; ct < hi; ++ct) {
-            const int64_t c0 = ct * kT;
-            const int64_t c1 = std::min(cols, c0 + kT);
-            for (int64_t r0 = 0; r0 < rows; r0 += kT) {
-                const int64_t r1 = std::min(rows, r0 + kT);
-                for (int64_t r = r0; r < r1; ++r) {
-                    for (int64_t c = c0; c < c1; ++c) {
-                        dst[c * rows + r] = src[r * cols + c];
-                    }
-                }
-            }
-        }
+        transpose_tiles(src, dst, rows, cols, lo, hi);
     });
 }
 
@@ -777,6 +706,7 @@ matmul(const Tensor& a, const Tensor& b)
 
     // Parallelize over batch x row-tiles: every unit owns a disjoint slab
     // of C rows, so the partitioning is race-free and bit-deterministic.
+    const auto gemm_rows = kernels::kernels().gemm_rows;
     const int64_t row_tiles = (m + kRowTile - 1) / kRowTile;
     support::parallelFor(0, n_batch * row_tiles, gemmGrain(k, n),
                          [&](int64_t lo, int64_t hi) {
@@ -786,9 +716,9 @@ matmul(const Tensor& a, const Tensor& b)
             // Take the longest run of tiles inside this batch entry.
             const int64_t t1 =
                 std::min(row_tiles, t0 + (hi - u));
-            gemmRows(pa + offs_a[bi], pb + offs_b[bi], po + bi * m * n,
-                     t0 * kRowTile, std::min(m, t1 * kRowTile), k, n,
-                     nullptr);
+            gemm_rows(pa + offs_a[bi], pb + offs_b[bi], po + bi * m * n,
+                      t0 * kRowTile, std::min(m, t1 * kRowTile), k, n,
+                      nullptr);
             u += t1 - t0;
         }
     });
@@ -1205,24 +1135,40 @@ permute(const Tensor& a, const std::vector<int64_t>& perm)
 {
     SLAPO_CHECK(static_cast<int64_t>(perm.size()) == a.dim(),
                 "permute: perm rank mismatch");
-    Shape out_shape(a.dim());
-    for (int64_t d = 0; d < a.dim(); ++d) {
+    const int64_t rank = a.dim();
+    Shape out_shape(rank);
+    for (int64_t d = 0; d < rank; ++d) {
         out_shape[d] = a.size(perm[d]);
     }
     Tensor out = Tensor::empty(out_shape);
     const auto in_strides = stridesOf(a.shape());
-    const auto out_strides = stridesOf(out_shape);
+    std::vector<int64_t> src_strides(rank); // input stride of output dim d
+    for (int64_t d = 0; d < rank; ++d) {
+        src_strides[d] = in_strides[perm[d]];
+    }
     const float* pa = a.data();
     float* po = out.data();
-    for (int64_t flat = 0; flat < a.numel(); ++flat) {
-        int64_t rem = flat;
-        int64_t src = 0;
-        for (int64_t d = 0; d < a.dim(); ++d) {
-            const int64_t idx = rem / out_strides[d];
-            rem %= out_strides[d];
-            src += idx * in_strides[perm[d]];
+
+    // Walk the output one innermost row at a time, advancing the source
+    // offset with the same incremental odometer as broadcastBinary, and
+    // copy each row in one strided loop.
+    const int64_t inner = rank > 0 ? out_shape[rank - 1] : 1;
+    const int64_t inner_stride = rank > 0 ? src_strides[rank - 1] : 0;
+    const int64_t rows = inner > 0 ? out.numel() / inner : 0;
+    std::vector<int64_t> idx(std::max<int64_t>(rank - 1, 0), 0);
+    int64_t src = 0;
+    for (int64_t row = 0; row < rows; ++row) {
+        const float* s = pa + src;
+        float* dst = po + row * inner;
+        for (int64_t i = 0; i < inner; ++i) dst[i] = s[i * inner_stride];
+        for (int64_t d = rank - 2; d >= 0; --d) {
+            if (++idx[d] < out_shape[d]) {
+                src += src_strides[d];
+                break;
+            }
+            idx[d] = 0;
+            src -= (out_shape[d] - 1) * src_strides[d];
         }
-        po[flat] = pa[src];
     }
     return out;
 }

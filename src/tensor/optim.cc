@@ -3,8 +3,18 @@
 #include <cmath>
 
 #include "obs/mem_profiler.h"
+#include "support/parallel.h"
+#include "tensor/kernels.h"
 
 namespace slapo {
+
+namespace {
+
+/** Elements per AdamW chunk: amortizes pool dispatch over ~0.5 MB of
+ * parameter and state traffic. */
+constexpr int64_t kAdamWGrain = 1 << 14;
+
+} // namespace
 
 size_t
 AdamW::addParam(Tensor param)
@@ -24,8 +34,16 @@ AdamW::step(const std::vector<Tensor>& grads)
                 "AdamW: expected " << params_.size() << " gradients, got "
                                    << grads.size());
     ++step_count_;
-    const float bc1 = 1.0f - std::pow(config_.beta1, static_cast<float>(step_count_));
-    const float bc2 = 1.0f - std::pow(config_.beta2, static_cast<float>(step_count_));
+    const kernels::AdamWStep hp{
+        config_.lr,
+        config_.beta1,
+        config_.beta2,
+        config_.eps,
+        config_.weight_decay,
+        1.0f - std::pow(config_.beta1, static_cast<float>(step_count_)),
+        1.0f - std::pow(config_.beta2, static_cast<float>(step_count_)),
+    };
+    const auto update = kernels::kernels().adamw;
 
     for (size_t i = 0; i < params_.size(); ++i) {
         Tensor& p = params_[i];
@@ -36,15 +54,12 @@ AdamW::step(const std::vector<Tensor>& grads)
         const float* pg = g.data();
         float* pm = m_[i].data();
         float* pv = v_[i].data();
-        for (int64_t j = 0; j < p.numel(); ++j) {
-            pm[j] = config_.beta1 * pm[j] + (1.0f - config_.beta1) * pg[j];
-            pv[j] = config_.beta2 * pv[j] + (1.0f - config_.beta2) * pg[j] * pg[j];
-            const float m_hat = pm[j] / bc1;
-            const float v_hat = pv[j] / bc2;
-            pp[j] -= config_.lr *
-                     (m_hat / (std::sqrt(v_hat) + config_.eps) +
-                      config_.weight_decay * pp[j]);
-        }
+        // Elementwise, so fixed-size chunks give the same bits at any
+        // thread count.
+        support::parallelFor(0, p.numel(), kAdamWGrain,
+                             [&](int64_t lo, int64_t hi) {
+            update(hp, pp + lo, pg + lo, pm + lo, pv + lo, hi - lo);
+        });
     }
 }
 

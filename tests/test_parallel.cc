@@ -3,21 +3,26 @@
  * Tests of the parallel blocked kernel backend: the thread pool itself
  * (partitioning, exception propagation) and the determinism contract —
  * every kernel must produce bit-identical results at any thread count,
- * because chunk boundaries are a function of the problem shape only.
+ * because chunk boundaries are a function of the problem shape only, and
+ * on every ISA path the CPU can run (tensor/kernels.h).
  */
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "models/registry.h"
 #include "nn/layers.h"
 #include "runtime/trainer.h"
 #include "support/parallel.h"
+#include "tensor/kernels.h"
 #include "tensor/ops.h"
+#include "tensor/optim.h"
 #include "tensor/tensor.h"
 
 namespace slapo {
@@ -122,21 +127,78 @@ TEST(ParallelThreads, SetAndGet)
     EXPECT_GE(getNumThreads(), 1);
 }
 
-/** Run `fn` at 1/2/7 threads and require bit-identical outputs. */
+/** Restore the default kernel path even when a test fails mid-way. */
+struct IsaGuard
+{
+    kernels::Isa saved = kernels::kernels().isa;
+    ~IsaGuard() { kernels::setIsaForTesting(saved); }
+};
+
+/** The ISA paths this CPU can run, baseline first. */
+std::vector<kernels::Isa>
+availableIsas()
+{
+    std::vector<kernels::Isa> isas;
+    for (kernels::Isa isa : {kernels::Isa::X86_64, kernels::Isa::X86_64_V3,
+                             kernels::Isa::X86_64_V4}) {
+        if (kernels::cpuSupports(isa)) isas.push_back(isa);
+    }
+    return isas;
+}
+
+/** Same shape and the same bytes: +0/-0 and NaN payloads count too. */
+bool
+sameBits(const Tensor& a, const Tensor& b)
+{
+    return a.shape() == b.shape() &&
+           std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)) == 0;
+}
+
+/** Run `fn` on every ISA path the CPU supports, each at 1/2/7 threads,
+ * and require outputs bit-identical to the baseline path at 1 thread. */
 void
 expectBitIdentical(const std::function<std::vector<Tensor>()>& fn)
 {
     ThreadGuard guard;
+    IsaGuard isa_guard;
+    kernels::setIsaForTesting(kernels::Isa::X86_64);
     setNumThreads(1);
     std::vector<Tensor> reference = fn();
-    for (int threads : {2, 7}) {
-        setNumThreads(threads);
-        std::vector<Tensor> got = fn();
-        ASSERT_EQ(got.size(), reference.size());
-        for (size_t i = 0; i < got.size(); ++i) {
-            EXPECT_EQ(maxAbsDiff(reference[i], got[i]), 0.0f)
-                << "output " << i << " at " << threads << " threads";
+    std::string ran;
+    for (kernels::Isa isa : availableIsas()) {
+        kernels::setIsaForTesting(isa);
+        ran += (ran.empty() ? "" : ", ") + std::string(kernels::isaName(isa));
+        for (int threads : {1, 2, 7}) {
+            setNumThreads(threads);
+            std::vector<Tensor> got = fn();
+            ASSERT_EQ(got.size(), reference.size());
+            for (size_t i = 0; i < got.size(); ++i) {
+                EXPECT_TRUE(sameBits(reference[i], got[i]))
+                    << "output " << i << " on " << kernels::isaName(isa)
+                    << " at " << threads << " threads differs by up to "
+                    << maxAbsDiff(reference[i], got[i]);
+            }
         }
+    }
+    std::printf("ISA paths compared: %s\n", ran.c_str());
+}
+
+TEST(IsaDispatch, DefaultIsWidestSupportedPath)
+{
+    ASSERT_TRUE(kernels::cpuSupports(kernels::Isa::X86_64));
+    const std::vector<kernels::Isa> isas = availableIsas();
+    EXPECT_EQ(kernels::kernels().isa, isas.back());
+    IsaGuard isa_guard;
+    for (kernels::Isa isa : {kernels::Isa::X86_64, kernels::Isa::X86_64_V3,
+                             kernels::Isa::X86_64_V4}) {
+        if (kernels::cpuSupports(isa)) {
+            kernels::setIsaForTesting(isa);
+            EXPECT_EQ(kernels::kernels().isa, isa);
+        } else {
+            EXPECT_THROW(kernels::setIsaForTesting(isa), SlapoError);
+        }
+        std::printf("%s: %s\n", kernels::isaName(isa),
+                    kernels::cpuSupports(isa) ? "available" : "unsupported");
     }
 }
 
@@ -201,6 +263,114 @@ TEST(ParallelDeterminism, ElementwiseAndReduce)
             ops::reduceToShape(a, {33}),
             ops::reduceToShape(a, {5, 64, 1}),
         };
+    });
+}
+
+TEST(ParallelDeterminism, AdamWSteps)
+{
+    // Larger than one AdamW chunk, so 2 and 7 threads really split it.
+    const Tensor p0 = Tensor::uniform({130, 257}, 1.0f, 23);
+    const Tensor b0 = Tensor::uniform({7}, 1.0f, 24);
+    const std::vector<Tensor> grads[2] = {
+        {Tensor::uniform({130, 257}, 0.1f, 25), Tensor::uniform({7}, 0.1f, 26)},
+        {Tensor::uniform({130, 257}, 0.1f, 27), Tensor::uniform({7}, 0.1f, 28)},
+    };
+    AdamWConfig config;
+    config.lr = 1e-2f;
+    auto run = [&] {
+        AdamW opt(config);
+        opt.addParam(p0.clone());
+        opt.addParam(b0.clone());
+        for (int step = 0; step < 3; ++step) opt.step(grads[step % 2]);
+        return std::vector<Tensor>{opt.param(0), opt.param(1),
+                                   opt.moment1(0), opt.moment2(0)};
+    };
+    expectBitIdentical(run);
+
+    // The vectorized update rounds exactly like the scalar reference loop.
+    Tensor p = p0.clone();
+    Tensor m = Tensor::zeros(p.shape());
+    Tensor v = Tensor::zeros(p.shape());
+    for (int step = 1; step <= 3; ++step) {
+        const float t = static_cast<float>(step);
+        const float bc1 = 1.0f - std::pow(config.beta1, t);
+        const float bc2 = 1.0f - std::pow(config.beta2, t);
+        const float* pg = grads[(step - 1) % 2][0].data();
+        float* pp = p.data();
+        float* pm = m.data();
+        float* pv = v.data();
+        for (int64_t j = 0; j < p.numel(); ++j) {
+            pm[j] = config.beta1 * pm[j] + (1.0f - config.beta1) * pg[j];
+            pv[j] = config.beta2 * pv[j] +
+                    (1.0f - config.beta2) * pg[j] * pg[j];
+            const float m_hat = pm[j] / bc1;
+            const float v_hat = pv[j] / bc2;
+            pp[j] -= config.lr * (m_hat / (std::sqrt(v_hat) + config.eps) +
+                                  config.weight_decay * pp[j]);
+        }
+    }
+    const std::vector<Tensor> got = run();
+    EXPECT_TRUE(sameBits(got[0], p));
+    EXPECT_TRUE(sameBits(got[2], m));
+    EXPECT_TRUE(sameBits(got[3], v));
+}
+
+TEST(ParallelDeterminism, Permute4DMatchesNaiveIndexLoop)
+{
+    const Tensor a = Tensor::uniform({3, 5, 4, 7}, 1.0f, 29);
+    const std::vector<std::vector<int64_t>> perms = {
+        {0, 1, 2, 3}, {0, 2, 1, 3}, {3, 1, 0, 2}, {2, 3, 1, 0}};
+    for (const auto& perm : perms) {
+        const Tensor y = ops::permute(a, perm);
+        ASSERT_EQ(y.dim(), 4);
+        const float* pa = a.data();
+        const float* py = y.data();
+        int64_t flat = 0;
+        int64_t o[4];
+        for (o[0] = 0; o[0] < y.size(0); ++o[0]) {
+            for (o[1] = 0; o[1] < y.size(1); ++o[1]) {
+                for (o[2] = 0; o[2] < y.size(2); ++o[2]) {
+                    for (o[3] = 0; o[3] < y.size(3); ++o[3]) {
+                        int64_t in[4];
+                        for (int d = 0; d < 4; ++d) in[perm[d]] = o[d];
+                        const int64_t src =
+                            ((in[0] * a.size(1) + in[1]) * a.size(2) + in[2]) *
+                                a.size(3) +
+                            in[3];
+                        ASSERT_EQ(py[flat++], pa[src])
+                            << "perm " << perm[0] << perm[1] << perm[2]
+                            << perm[3] << " at output " << flat - 1;
+                    }
+                }
+            }
+        }
+    }
+    const Tensor empty = ops::permute(Tensor::zeros({2, 0, 3}), {2, 0, 1});
+    EXPECT_EQ(empty.shape(), (Shape{3, 2, 0}));
+    expectBitIdentical([&] {
+        return std::vector<Tensor>{ops::permute(a, {3, 1, 0, 2}),
+                                   ops::transposeLast2(a)};
+    });
+}
+
+TEST(ParallelDeterminism, TinyBertTrainerStep)
+{
+    // One full training step (forward, backward, AdamW) through every
+    // dispatched kernel. A fresh model per run: stepping mutates it.
+    expectBitIdentical([] {
+        auto model =
+            runtime::withCrossEntropyLoss(models::buildTinyModel("bert"));
+        model->initializeParams(42);
+        runtime::Trainer trainer(model);
+        const runtime::TrainStepStats stats = trainer.step(
+            {{Tensor::randint({2, 8}, 64, 100),
+              Tensor::randint({2, 8}, 64, 200)}});
+        std::vector<Tensor> out = {
+            Tensor::fromValues({1}, {static_cast<float>(stats.loss)})};
+        for (auto& [name, tensor] : model->namedParams()) {
+            out.push_back(tensor->clone());
+        }
+        return out;
     });
 }
 
