@@ -29,6 +29,15 @@ struct ParamCase
     double tolerance;
 };
 
+/** gtest_discover_tests names each ctest after this printout. Without it
+ * gtest would print the struct's raw bytes, and with them the address of
+ * `name`, which moves on every run. */
+void
+PrintTo(const ParamCase& c, std::ostream* os)
+{
+    *os << c.name << "_v" << c.variant;
+}
+
 class Table2Params : public ::testing::TestWithParam<ParamCase>
 {
 };
@@ -51,11 +60,7 @@ INSTANTIATE_TEST_SUITE_P(
                       ParamCase{"albert", 0, 0.15}, ParamCase{"gpt", 0, 0.35},
                       ParamCase{"gpt", 1, 0.15}, ParamCase{"opt", 0, 0.20},
                       ParamCase{"t5", 0, 0.30}, ParamCase{"t5", 1, 0.30},
-                      ParamCase{"wideresnet", 0, 0.15}),
-    [](const auto& info) {
-        return std::string(info.param.name) + "_v" +
-               std::to_string(info.param.variant);
-    });
+                      ParamCase{"wideresnet", 0, 0.15}));
 
 TEST(Models, Gpt10BIsTenBillion)
 {

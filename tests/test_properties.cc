@@ -45,6 +45,14 @@ softmaxWrap(const Tensor& t)
     return ops::softmax(t);
 }
 
+/** gtest_discover_tests names each ctest after this printout; the default
+ * would print `name` and `fn` as raw addresses, which move on every run. */
+void
+PrintTo(const UnaryCase& c, std::ostream* os)
+{
+    *os << c.name;
+}
+
 class UnaryOpProperty : public ::testing::TestWithParam<UnaryCase>
 {
 };
@@ -70,8 +78,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(UnaryCase{"gelu", &geluWrap, false},
                       UnaryCase{"relu", &reluWrap, false},
                       UnaryCase{"tanh", &tanhWrap, false},
-                      UnaryCase{"softmax", &softmaxWrap, true}),
-    [](const auto& info) { return info.param.name; });
+                      UnaryCase{"softmax", &softmaxWrap, true}));
 
 // --- schedules preserve model FLOPs --------------------------------------------
 
