@@ -82,6 +82,29 @@ BM_TensorSoftmax(benchmark::State& state)
 BENCHMARK(BM_TensorSoftmax);
 
 void
+BM_TensorGelu(benchmark::State& state)
+{
+    Tensor x = Tensor::uniform({256, 1024}, 3.0f, 9);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(ops::gelu(x));
+    }
+    state.SetItemsProcessed(state.iterations() * x.numel());
+}
+BENCHMARK(BM_TensorGelu);
+
+void
+BM_TensorGeluBackward(benchmark::State& state)
+{
+    Tensor x = Tensor::uniform({256, 1024}, 3.0f, 9);
+    Tensor g = Tensor::uniform({256, 1024}, 1.0f, 10);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(ops::geluBackward(g, x));
+    }
+    state.SetItemsProcessed(state.iterations() * x.numel());
+}
+BENCHMARK(BM_TensorGeluBackward);
+
+void
 BM_TensorLinearThreads(benchmark::State& state)
 {
     slapo::bench::setKernelThreads(static_cast<int>(state.range(0)));

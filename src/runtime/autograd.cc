@@ -330,12 +330,13 @@ AutogradEngine::graphFor(Module& module, const std::vector<Shape>& shapes)
     if (module.meta().traced_graph) {
         return module.meta().traced_graph;
     }
-    auto it = graph_cache_.find(&module);
-    if (it != graph_cache_.end()) {
+    auto& by_shapes = graph_cache_[&module];
+    auto it = by_shapes.find(shapes);
+    if (it != by_shapes.end()) {
         return it->second;
     }
     auto g = traceModule(module, shapes);
-    graph_cache_[&module] = g;
+    by_shapes.emplace(shapes, g);
     return g;
 }
 

@@ -76,7 +76,12 @@ class AutogradEngine
 
     void accumulateParamGrad(const Tensor& param, const Tensor& grad);
 
-    std::map<const nn::Module*, std::shared_ptr<graph::Graph>> graph_cache_;
+    /** Traced graphs keyed on (module, input shapes): a traced graph bakes
+     * in its input shapes, so a child called with two shapes in one run
+     * needs two. Scoped to this engine. */
+    std::map<const nn::Module*,
+             std::map<std::vector<Shape>, std::shared_ptr<graph::Graph>>>
+        graph_cache_;
     GradResult result_;
 };
 

@@ -2,15 +2,17 @@
  * @file
  * Run-time ISA dispatch for the hot numeric kernels.
  *
- * The GEMM microkernel, the transpose pack behind every `linear` GEMM and
- * the AdamW update are written once as pointer-level chunk functions
- * (kernels_body.h) and compiled three times: for baseline x86-64 (SSE2),
- * x86-64-v3 (AVX2) and x86-64-v4 (AVX-512). The first call to `kernels()`
- * asks cpuid for the widest level the CPU supports and keeps that table.
+ * The GEMM microkernel, the transpose pack behind every `linear` GEMM, the
+ * AdamW update, and gelu, its backward and tanh are written once as
+ * pointer-level chunk functions (kernels_body.h) and compiled three times:
+ * for baseline x86-64 (SSE2), x86-64-v3 (AVX2) and x86-64-v4 (AVX-512).
+ * The first call to `kernels()` asks cpuid for the widest level the CPU
+ * supports and keeps that table.
  *
  * Every path performs the same float operations in the same order: FMA
- * contraction is off and nothing is reassociated, so outputs are
- * bit-identical across paths (docs/PERFORMANCE.md, "ISA dispatch").
+ * contraction is off, nothing is reassociated and no libm function is
+ * called, so outputs are bit-identical across paths (docs/PERFORMANCE.md,
+ * "ISA dispatch").
  * Callers keep the shape checks, allocation and `parallelFor` split, so
  * chunk boundaries stay a function of the shapes alone.
  *
@@ -76,6 +78,16 @@ struct KernelTable
     /** AdamW update of n elements: param, grad, first and second moment. */
     void (*adamw)(const AdamWStep& step, float* param, const float* grad,
                   float* m, float* v, int64_t n);
+
+    /** y = gelu(x) (tanh approximation) over n elements; y may equal x. */
+    void (*gelu)(const float* x, float* y, int64_t n);
+
+    /** out = grad * gelu'(x) over n elements. */
+    void (*gelu_backward)(const float* grad, const float* x, float* out,
+                          int64_t n);
+
+    /** y = tanh(x) over n elements; y may equal x. */
+    void (*tanh)(const float* x, float* y, int64_t n);
 };
 
 /** The active table: the widest path the CPU supports, chosen at first

@@ -5,11 +5,19 @@
  * and bind the functions into that ISA's KernelTable.
  *
  * Rules that keep the paths bit-identical and the binary portable:
- *  - Plain float add, multiply, divide and sqrt only, each element's
- *    operations in a fixed order. The build passes -ffp-contract=off, so
- *    the AVX paths never fuse a multiply-add, and without -ffast-math the
- *    compiler may vectorize across independent elements but never
- *    reassociate a sum.
+ *  - Plain float add, subtract, multiply, divide and sqrt only, plus
+ *    float<->int conversions (float->int truncating) and bit moves, each
+ *    element's operations in a fixed order. The build passes
+ *    -ffp-contract=off, so the AVX paths never fuse a multiply-add, and
+ *    without -ffast-math the compiler may vectorize across independent
+ *    elements but never reassociate a sum.
+ *  - No libm: every IEEE basic operation rounds the same in every ISA,
+ *    but libm's functions are glibc's own and scalar. tanh and exp are
+ *    written out below instead. The isa_symbols test fails on any
+ *    undefined symbol in the objects, which catches a std::tanh here.
+ *    The objects are built with -fno-trapping-math, so GCC may evaluate
+ *    both sides of a float select and vectorize the loop; that changes
+ *    no result.
  *  - Internal linkage only: everything here lives in an anonymous
  *    namespace and calls no inline or template function from another
  *    header (no std::min, no std::sqrt). An out-of-line copy of a shared
@@ -146,6 +154,115 @@ adamwUpdate(const AdamWStep& step, float* param, const float* grad, float* m,
         const float v_hat = vj / bc2;
         param[j] -= lr * (m_hat / (__builtin_sqrtf(v_hat) + eps) +
                           weight_decay * param[j]);
+    }
+}
+
+// --- gelu and tanh ----------------------------------------------------------
+//
+// One float tanh serves tanh, gelu and gelu's backward. It stays within
+// 1 ulp of a double-precision tanh over [-12, 12] (libm's tanhf is off by
+// up to 2). Each loop body is branch-free, so the compiler vectorizes it,
+// and its bits depend on the input alone. Outputs may alias inputs: each
+// element is read before it is written and never revisited.
+
+constexpr float kGeluC = 0.7978845608028654f; // sqrt(2/pi)
+constexpr float kGeluCubic = 0.044715f;
+
+float
+floatFromBits(uint32_t u)
+{
+    return __builtin_bit_cast(float, u);
+}
+
+uint32_t
+bitsOf(float f)
+{
+    return __builtin_bit_cast(uint32_t, f);
+}
+
+/** e^z for z in [0, 20]: z = n ln2 + r with a two-part (Cody-Waite) ln2
+ * so r is nearly exact, a degree-7 polynomial for e^r on |r| <= ln2/2,
+ * and 2^n built from exponent bits. */
+float
+expNonNegative(float z)
+{
+    constexpr float kLog2e = 1.44269504f;
+    // ln2 = kLn2Hi + kLn2Lo; kLn2Hi has 9 significant bits, so n * kLn2Hi
+    // is exact for the n < 30 seen here.
+    constexpr float kLn2Hi = 0.693359375f;
+    constexpr float kLn2Lo = -2.12194440e-4f;
+    const int32_t n = static_cast<int32_t>(z * kLog2e + 0.5f);
+    const float nf = static_cast<float>(n);
+    const float r = (z - nf * kLn2Hi) - nf * kLn2Lo;
+    float q = 1.98909808698e-4f;
+    q = q * r + 1.3933641032e-3f;
+    q = q * r + 8.33331093445e-3f;
+    q = q * r + 4.1666465006e-2f;
+    q = q * r + 1.66666666816e-1f;
+    q = q * r + 5.00000001346e-1f;
+    const float er = r * r * q + r + 1.0f;
+    return er * floatFromBits(static_cast<uint32_t>(n + 127) << 23);
+}
+
+/**
+ * tanh on |x|, sign copied back from the input's bits, so tanh(-0) = -0.
+ * Below 0.625 an odd polynomial, x + x^3 P(x^2), which returns denormals
+ * unchanged and propagates NaN; above, 1 - 2 / (e^{2|x|} + 1), which is
+ * 1.0f from |x| ~ 9.01 on, so 2|x| is clamped to 20 (a NaN clamps too;
+ * the polynomial side carries it). Both sides are computed and one is
+ * selected by mask.
+ */
+float
+tanhFloat(float x)
+{
+    const uint32_t ix = bitsOf(x);
+    const float a = floatFromBits(ix & 0x7fffffffu);
+    const float s = a * a;
+    float p = -6.09671416591e-3f;
+    p = p * s + 2.09971789991e-2f;
+    p = p * s + -5.38509095785e-2f;
+    p = p * s + 1.3332769737e-1f;
+    p = p * s + -3.33333289441e-1f;
+    const float small = a + a * s * p;
+    const float z = a + a < 20.0f ? a + a : 20.0f;
+    const float large = 1.0f - 2.0f / (expNonNegative(z) + 1.0f);
+    // A float ?: here would stay a branch; a bit mask vectorizes.
+    const uint32_t use_large = 0u - static_cast<uint32_t>(a >= 0.625f);
+    return floatFromBits((bitsOf(large) & use_large) |
+                         (bitsOf(small) & ~use_large) | (ix & 0x80000000u));
+}
+
+/** The tanh argument of the tanh-approximated GeLU. */
+float
+geluInner(float x)
+{
+    return kGeluC * (x + kGeluCubic * x * x * x);
+}
+
+void
+tanhRange(const float* x, float* y, int64_t n)
+{
+    for (int64_t i = 0; i < n; ++i) y[i] = tanhFloat(x[i]);
+}
+
+void
+geluRange(const float* x, float* y, int64_t n)
+{
+    for (int64_t i = 0; i < n; ++i) {
+        const float v = x[i];
+        y[i] = 0.5f * v * (1.0f + tanhFloat(geluInner(v)));
+    }
+}
+
+void
+geluBackwardRange(const float* grad, const float* x, float* out, int64_t n)
+{
+    for (int64_t i = 0; i < n; ++i) {
+        const float v = x[i];
+        const float t = tanhFloat(geluInner(v));
+        const float dinner = kGeluC * (1.0f + 3.0f * kGeluCubic * v * v);
+        const float d = 0.5f * (1.0f + t) + 0.5f * v * (1.0f - t * t) * dinner;
+        out[i] = grad[i] * d;
     }
 }
 

@@ -7,7 +7,8 @@ namespace kernels {
 namespace detail {
 
 extern const KernelTable kX86_64Table = {
-    Isa::X86_64, gemmRows, transposeTiles, adamwUpdate};
+    Isa::X86_64, gemmRows, transposeTiles, adamwUpdate,
+    geluRange, geluBackwardRange, tanhRange};
 
 } // namespace detail
 } // namespace kernels

@@ -7,7 +7,8 @@ namespace kernels {
 namespace detail {
 
 extern const KernelTable kX86_64V4Table = {
-    Isa::X86_64_V4, gemmRows, transposeTiles, adamwUpdate};
+    Isa::X86_64_V4, gemmRows, transposeTiles, adamwUpdate,
+    geluRange, geluBackwardRange, tanhRange};
 
 } // namespace detail
 } // namespace kernels

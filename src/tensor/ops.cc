@@ -153,26 +153,31 @@ unary(const Tensor& a, F&& f)
     return out;
 }
 
-constexpr float kGeluC = 0.7978845608028654f; // sqrt(2/pi)
-
-// Scalar functions shared by the out-of-place kernels and their
-// in-place twins, so both paths run identical per-element arithmetic.
-inline float
-geluFn(float x)
+/** Run a dispatched elementwise chunk function (kernels.h) over the same
+ * kElemGrain chunks as unaryInto; po may alias pa. */
+void
+dispatchedUnaryInto(void (*kernel)(const float*, float*, int64_t),
+                    const float* pa, float* po, int64_t n)
 {
-    return 0.5f * x * (1.0f + std::tanh(kGeluC * (x + 0.044715f * x * x * x)));
+    support::parallelFor(0, n, kElemGrain, [&](int64_t lo, int64_t hi) {
+        kernel(pa + lo, po + lo, hi - lo);
+    });
 }
 
+Tensor
+dispatchedUnary(void (*kernel)(const float*, float*, int64_t), const Tensor& a)
+{
+    Tensor out = Tensor::empty(a.shape());
+    dispatchedUnaryInto(kernel, a.data(), out.data(), a.numel());
+    return out;
+}
+
+// Shared by relu and its in-place twin, so both paths run identical
+// per-element arithmetic.
 inline float
 reluFn(float x)
 {
     return x > 0.0f ? x : 0.0f;
-}
-
-inline float
-tanhFn(float x)
-{
-    return std::tanh(x);
 }
 
 } // namespace
@@ -265,7 +270,7 @@ addScalarInPlace(Tensor& a, float value)
 Tensor
 gelu(const Tensor& a)
 {
-    return unary(a, geluFn);
+    return dispatchedUnary(kernels::kernels().gelu, a);
 }
 
 Tensor
@@ -276,17 +281,10 @@ geluBackward(const Tensor& grad, const Tensor& a)
     const float* pg = grad.data();
     const float* pa = a.data();
     float* po = out.data();
+    const auto gelu_backward = kernels::kernels().gelu_backward;
     support::parallelFor(0, a.numel(), kElemGrain,
                          [&](int64_t lo, int64_t hi) {
-        for (int64_t i = lo; i < hi; ++i) {
-            const float x = pa[i];
-            const float inner = kGeluC * (x + 0.044715f * x * x * x);
-            const float t = std::tanh(inner);
-            const float dinner = kGeluC * (1.0f + 3.0f * 0.044715f * x * x);
-            const float d =
-                0.5f * (1.0f + t) + 0.5f * x * (1.0f - t * t) * dinner;
-            po[i] = pg[i] * d;
-        }
+        gelu_backward(pg + lo, pa + lo, po + lo, hi - lo);
     });
     return out;
 }
@@ -300,7 +298,7 @@ relu(const Tensor& a)
 void
 geluInPlace(Tensor& a)
 {
-    unaryInto(a.data(), a.data(), a.numel(), geluFn);
+    dispatchedUnaryInto(kernels::kernels().gelu, a.data(), a.data(), a.numel());
 }
 
 void
@@ -312,7 +310,7 @@ reluInPlace(Tensor& a)
 void
 tanhInPlace(Tensor& a)
 {
-    unaryInto(a.data(), a.data(), a.numel(), tanhFn);
+    dispatchedUnaryInto(kernels::kernels().tanh, a.data(), a.data(), a.numel());
 }
 
 Tensor
@@ -326,7 +324,7 @@ reluBackward(const Tensor& grad, const Tensor& a)
 Tensor
 tanhOp(const Tensor& a)
 {
-    return unary(a, tanhFn);
+    return dispatchedUnary(kernels::kernels().tanh, a);
 }
 
 Tensor

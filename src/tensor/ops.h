@@ -56,7 +56,9 @@ void rangeMaskInPlace(Tensor& a, float lo, float hi);
 void causalMaskInPlace(Tensor& scores);
 void softmaxInPlace(Tensor& a);
 
-/** tanh-approximated GeLU (the variant BERT/GPT use). */
+/** tanh-approximated GeLU (the variant BERT/GPT use). gelu, geluBackward
+ * and tanhOp (and their in-place twins) run the ISA-dispatched, libm-free
+ * tanh of tensor/kernels.h. */
 Tensor gelu(const Tensor& a);
 /** Derivative of gelu at `a`, multiplied by upstream `grad`. */
 Tensor geluBackward(const Tensor& grad, const Tensor& a);

@@ -255,15 +255,36 @@ TEST(ParallelDeterminism, ElementwiseAndReduce)
     Tensor a = Tensor::uniform({5, 64, 33}, 1.0f, 13);
     Tensor b = Tensor::uniform({5, 64, 33}, 1.0f, 14);
     Tensor row = Tensor::uniform({33}, 1.0f, 15);
+    // gelu and tanh: 65,792 elements, so four 2^14-element chunks plus a
+    // ragged one that 2 and 7 threads really split, over a range that
+    // covers both sides of tanh's polynomial/exp switch at |x| = 0.625.
+    Tensor x = Tensor::uniform({4, 64, 257}, 6.0f, 16);
+    Tensor g = Tensor::uniform({4, 64, 257}, 1.0f, 17);
     expectBitIdentical([&] {
+        Tensor gelu_in_place = x.clone();
+        ops::geluInPlace(gelu_in_place);
+        Tensor tanh_in_place = x.clone();
+        ops::tanhInPlace(tanh_in_place);
         return std::vector<Tensor>{
             ops::add(a, b),
             ops::mul(a, row),
             ops::gelu(a),
             ops::reduceToShape(a, {33}),
             ops::reduceToShape(a, {5, 64, 1}),
+            ops::gelu(x),
+            ops::geluBackward(g, x),
+            ops::tanhOp(x),
+            gelu_in_place,
+            tanh_in_place,
         };
     });
+    // The in-place twins run the same kernels as the out-of-place ops.
+    Tensor y = x.clone();
+    ops::geluInPlace(y);
+    EXPECT_TRUE(sameBits(y, ops::gelu(x)));
+    y = x.clone();
+    ops::tanhInPlace(y);
+    EXPECT_TRUE(sameBits(y, ops::tanhOp(x)));
 }
 
 TEST(ParallelDeterminism, AdamWSteps)

@@ -9,6 +9,7 @@
 #include "sim/memory_model.h"
 #include "models/dataset.h"
 #include "models/registry.h"
+#include "nn/functional.h"
 #include "runtime/autograd.h"
 #include "runtime/dist_executor.h"
 #include "runtime/trainer.h"
@@ -473,6 +474,92 @@ TEST(Autograd, VocabParallelHeadGradientsMatchDense)
     EXPECT_EQ(shard_grad.shape(), (Shape{32, 8}));
     Tensor expected_slice = ops::narrow(dense_grad, 0, 0, 32);
     EXPECT_TRUE(Tensor::allClose(expected_slice, shard_grad, 1e-4f));
+}
+
+/** Flattens [b, s, h] to [b * s, h] and projects it: the reshape target
+ * comes from the input shape, so a traced graph is only good for one. */
+class FlattenLinear : public nn::Module
+{
+  public:
+    FlattenLinear() : Module("FlattenLinear")
+    {
+        registerParam("weight", Tensor::uniform({4, 4}, 0.5f, 41));
+    }
+
+    std::vector<nn::Value>
+    forward(const std::vector<nn::Value>& inputs) override
+    {
+        const Shape& s = inputs[0].shape();
+        nn::Value flat = nn::F::reshape(inputs[0], {s[0] * s[1], s[2]});
+        return {nn::F::linear(flat, param("weight"), nn::Value())};
+    }
+
+    ModulePtr
+    clone() const override
+    {
+        auto m = std::make_shared<FlattenLinear>();
+        cloneInto(m.get());
+        return m;
+    }
+};
+
+/** Calls one FlattenLinear child on [2, 3, 4] and then on [2, 5, 4]. */
+class TwoShapeParent : public nn::Module
+{
+  public:
+    TwoShapeParent() : Module("TwoShapeParent")
+    {
+        registerChild("proj", std::make_shared<FlattenLinear>());
+    }
+
+    std::vector<nn::Value>
+    forward(const std::vector<nn::Value>& inputs) override
+    {
+        nn::Value short_out = callChildOne("proj", {inputs[0]});
+        nn::Value long_out = callChildOne("proj", {inputs[1]});
+        return {nn::F::add(nn::F::mseLoss(short_out, inputs[2]),
+                           nn::F::mseLoss(long_out, inputs[3]))};
+    }
+
+    ModulePtr
+    clone() const override
+    {
+        auto m = std::make_shared<TwoShapeParent>();
+        cloneInto(m.get());
+        return m;
+    }
+};
+
+TEST(Autograd, ChildCalledWithTwoShapesGetsAGraphPerShape)
+{
+    auto model = std::make_shared<TwoShapeParent>();
+    const std::vector<Tensor> inputs = {
+        Tensor::uniform({2, 3, 4}, 1.0f, 42),
+        Tensor::uniform({2, 5, 4}, 1.0f, 43),
+        Tensor::uniform({6, 4}, 1.0f, 44),
+        Tensor::uniform({10, 4}, 1.0f, 45)};
+    auto eager_loss = [&] {
+        std::vector<nn::Value> values;
+        for (const Tensor& t : inputs) values.emplace_back(t);
+        return model->callOne(values).tensor().at(0);
+    };
+
+    AutogradEngine engine;
+    GradResult result = engine.run(*model, inputs);
+    EXPECT_EQ(result.outputs[0].at(0), eager_loss());
+
+    Tensor& w = model->child("proj")->paramTensor("weight");
+    const Tensor analytic = AutogradEngine::gradFor(result, w);
+    for (int64_t i = 0; i < w.numel(); ++i) {
+        const float eps = 1e-3f;
+        const float orig = w.at(i);
+        w.set(i, orig + eps);
+        const float up = eager_loss();
+        w.set(i, orig - eps);
+        const float down = eager_loss();
+        w.set(i, orig);
+        EXPECT_NEAR(analytic.at(i), (up - down) / (2 * eps), 5e-3f);
+    }
 }
 
 // --- trainers -------------------------------------------------------------------

@@ -1,8 +1,12 @@
 /** @file Unit tests of the tensor substrate (shapes, kernels, autograd math). */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <functional>
+#include <vector>
 
 #include "tensor/ops.h"
 #include "tensor/optim.h"
@@ -250,6 +254,92 @@ TEST(Ops, RangeMaskAndClamp)
     Tensor c = ops::clampScalar(x, 0, 3);
     EXPECT_FLOAT_EQ(c.at(0), 0);
     EXPECT_FLOAT_EQ(c.at(3), 3);
+}
+
+/** Float bit patterns from -12 to 12 at a fixed stride, both signs. */
+Tensor
+sweepToTwelve()
+{
+    std::vector<float> values;
+    const uint32_t top = std::bit_cast<uint32_t>(12.0f);
+    for (uint32_t u = 0; u <= top; u += 1021) {
+        values.push_back(std::bit_cast<float>(u));
+        values.push_back(std::bit_cast<float>(u | 0x80000000u));
+    }
+    const int64_t n = static_cast<int64_t>(values.size());
+    return Tensor::fromValues({n}, std::move(values));
+}
+
+/** Distance in units in the last place: floats counted along the line. */
+int64_t
+ulpDistance(float a, float b)
+{
+    auto ordered = [](float f) {
+        const int32_t i = std::bit_cast<int32_t>(f);
+        return i < 0 ? -static_cast<int64_t>(i & 0x7fffffff)
+                     : static_cast<int64_t>(i);
+    };
+    const int64_t d = ordered(a) - ordered(b);
+    return d < 0 ? -d : d;
+}
+
+TEST(Ops, TanhWithinTwoUlpOfDoubleAndSpecialValues)
+{
+    const Tensor x = sweepToTwelve();
+    const Tensor y = ops::tanhOp(x);
+    int64_t worst = 0;
+    for (int64_t i = 0; i < x.numel(); ++i) {
+        const float want =
+            static_cast<float>(std::tanh(static_cast<double>(x.at(i))));
+        const int64_t d = ulpDistance(y.at(i), want);
+        ASSERT_LE(d, 2) << "tanh(" << x.at(i) << ") = " << y.at(i)
+                        << ", want " << want;
+        worst = std::max(worst, d);
+    }
+    RecordProperty("worst_ulp", static_cast<int>(worst));
+
+    const float inf = INFINITY;
+    const float max_denormal = std::bit_cast<float>(0x007fffffu);
+    const std::vector<float> special = {
+        0.0f, -0.0f, 1e-45f, -1e-45f, 1e-40f, -max_denormal, max_denormal,
+        inf, -inf, NAN, -NAN};
+    const Tensor t = ops::tanhOp(
+        Tensor::fromValues({static_cast<int64_t>(special.size())}, special));
+    auto bits = [](float f) { return std::bit_cast<uint32_t>(f); };
+    // Zeros keep their sign and denormals map to themselves, bit for bit.
+    for (size_t i = 0; i < 7; ++i) {
+        EXPECT_EQ(bits(t.at(i)), bits(special[i]))
+            << "tanh(" << special[i] << ")";
+    }
+    EXPECT_EQ(t.at(7), 1.0f);
+    EXPECT_EQ(t.at(8), -1.0f);
+    EXPECT_TRUE(std::isnan(t.at(9)));
+    EXPECT_TRUE(std::isnan(t.at(10)));
+}
+
+TEST(Ops, GeluAndBackwardMatchLibmTanhFormulas)
+{
+    const Tensor x = sweepToTwelve();
+    const Tensor y = ops::gelu(x);
+    const Tensor d = ops::geluBackward(Tensor::full(x.shape(), 1.0f), x);
+    // Reference: the kernels' formulas evaluated with libm's tanhf.
+    const float c = 0.7978845608028654f;
+    float worst_y = 0.0f;
+    float worst_d = 0.0f;
+    for (int64_t i = 0; i < x.numel(); ++i) {
+        const float v = x.at(i);
+        const float t = std::tanh(c * (v + 0.044715f * v * v * v));
+        const float want_y = 0.5f * v * (1.0f + t);
+        const float want_d =
+            0.5f * (1.0f + t) +
+            0.5f * v * (1.0f - t * t) * (c * (1.0f + 3.0f * 0.044715f * v * v));
+        worst_y = std::max(worst_y, std::abs(y.at(i) - want_y));
+        worst_d = std::max(worst_d, std::abs(d.at(i) - want_d));
+    }
+    EXPECT_LE(worst_y, 5e-7f);
+    EXPECT_LE(worst_d, 5e-7f);
+    RecordProperty("gelu_worst_abs", testing::PrintToString(worst_y));
+    RecordProperty("gelu_backward_worst_abs", testing::PrintToString(worst_d));
 }
 
 TEST(Ops, Conv2dIdentityKernel)
