@@ -120,6 +120,40 @@ BM_TensorLinearThreads(benchmark::State& state)
 BENCHMARK(BM_TensorLinearThreads)->Arg(1)->Arg(2)->Arg(4)->ArgName("threads");
 
 void
+BM_TensorLinear(benchmark::State& state)
+{
+    // The mid model's wide linears, fc1 (256 -> 1024) and the MLM decoder
+    // (256 -> 2048), at a 256-row batch and at the pipeline's 64-row
+    // micro-batch.
+    const int64_t rows = state.range(0);
+    const int64_t out = state.range(1);
+    Tensor x = Tensor::uniform({rows, 256}, 1.0f, 7);
+    Tensor w = Tensor::uniform({out, 256}, 0.02f, 8);
+    Tensor b = Tensor::zeros({out});
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(ops::linear(x, w, b));
+    }
+    state.SetItemsProcessed(state.iterations() * 2 * rows * 256 * out);
+}
+BENCHMARK(BM_TensorLinear)
+    ->ArgsProduct({{64, 256}, {1024, 2048}})
+    ->ArgNames({"rows", "out"});
+
+void
+BM_TensorLinearBackward(benchmark::State& state)
+{
+    // Both GEMMs and the bias sum of the decoder's backward at 256 rows.
+    Tensor x = Tensor::uniform({256, 256}, 1.0f, 7);
+    Tensor w = Tensor::uniform({2048, 256}, 0.02f, 8);
+    Tensor g = Tensor::uniform({256, 2048}, 1.0f, 9);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(ops::linearBackward(g, x, w, true));
+    }
+    state.SetItemsProcessed(state.iterations() * 2 * 2 * 256 * 256 * 2048);
+}
+BENCHMARK(BM_TensorLinearBackward);
+
+void
 BM_TraceFfnFlattened(benchmark::State& state)
 {
     nn::FFN ffn(1024, 4096, 0.1);

@@ -10,8 +10,10 @@
 # the executors' release paths.
 #
 # Registered as the `asan_alloc` ctest (bench/CMakeLists.txt) scoped to
-# the Alloc/Tensor/Ops tests so tier-1 stays fast; run it manually with
-# no filter for whole-suite ASan coverage:
+# the Alloc/Tensor tests and the GEMM tests (matmul, linear and its
+# backward against a naive loop, which pack into pooled buffers) so
+# tier-1 stays fast; run it manually with no filter for whole-suite ASan
+# coverage:
 #
 # Usage: bench/run_asan.sh [extra ctest args, e.g. -R Alloc]
 set -euo pipefail
@@ -24,7 +26,10 @@ command -v ninja >/dev/null 2>&1 && gen=(-G Ninja)
 cmake -B "${BUILD}" -S "${ROOT}" "${gen[@]}" \
     -DSLAPO_SANITIZE=address \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build "${BUILD}" -j
+# Only the test executables: the benches and examples (and the smoke
+# tests that drive them) are not part of the gate. Build the whole tree
+# first for a no-filter run that includes them.
+cmake --build "${BUILD}" -j --target slapo_tests
 
 # Any report fails the run; leak detection stays on — pool-parked
 # buffers are reachable through the allocator's free lists, so they are

@@ -2,8 +2,8 @@
 # Run the numeric-kernel micro-benchmarks and record the results as
 # BENCH_kernels.json at the repo root. Covers the blocked/parallel kernel
 # backend: matmul sizes 32..512, the thread-sweep variants (n x threads),
-# linear, layernorm, softmax, and gelu with its backward — plus the
-# caching-allocator A/B
+# linear at the mid model's wide shapes and its backward, layernorm,
+# softmax, and gelu with its backward — plus the caching-allocator A/B
 # (BM_AllocStep / BM_AllocAcquireRelease, pool=0 vs pool=1).
 #
 # Usage: bench/run_kernels.sh [build-dir]   (default: build)
@@ -21,7 +21,7 @@ fi
 
 out="$repo_root/BENCH_kernels.json"
 "$bench_bin" \
-    --benchmark_filter='BM_Tensor(Matmul|MatmulThreads|LinearThreads|LayerNorm|Softmax|Gelu|GeluBackward)|BM_Alloc(Step|AcquireRelease)' \
+    --benchmark_filter='BM_Tensor(Matmul|MatmulThreads|Linear|LinearThreads|LinearBackward|LayerNorm|Softmax|Gelu|GeluBackward)|BM_Alloc(Step|AcquireRelease)' \
     --benchmark_format=json \
     --benchmark_out="$out" \
     --benchmark_out_format=json

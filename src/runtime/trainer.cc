@@ -36,27 +36,6 @@ msSince(StepClock::time_point t0)
 }
 
 /**
- * Global L2 norm of the gradient set. Accumulated sequentially in
- * double, in parameter order — no parallel reduction — so the result is
- * bitwise identical across kernel thread counts as long as the grads
- * themselves are (which the determinism contract guarantees).
- */
-double
-globalGradNorm(const std::vector<Tensor>& grads)
-{
-    double sum = 0.0;
-    for (const Tensor& g : grads) {
-        const float* data = g.data();
-        const int64_t n = g.numel();
-        for (int64_t i = 0; i < n; ++i) {
-            const double v = static_cast<double>(data[i]);
-            sum += v * v;
-        }
-    }
-    return std::sqrt(sum);
-}
-
-/**
  * Gradient-allreduce bucket size in bytes. SLAPO_BUCKET_BYTES overrides
  * the 4 MiB default; <= 0 disables coalescing (one allreduce per
  * parameter, the pre-bucketing behaviour). Re-read on every step so
@@ -347,6 +326,35 @@ runWithRecovery(
 
 } // namespace
 
+double
+globalGradNorm(const std::vector<Tensor>& grads)
+{
+    // One running sum would wait on the previous add for every element;
+    // kLanes independent sums, folded in lane order at the end, do not.
+    constexpr int kLanes = 16;
+    double lanes[kLanes] = {};
+    for (const Tensor& g : grads) {
+        const float* data = g.data();
+        const int64_t n = g.numel();
+        int64_t i = 0;
+        for (; i + kLanes <= n; i += kLanes) {
+            // Unrolled, the lanes stay in registers.
+#pragma GCC unroll 16
+            for (int l = 0; l < kLanes; ++l) {
+                const double v = static_cast<double>(data[i + l]);
+                lanes[l] += v * v;
+            }
+        }
+        for (int l = 0; i + l < n; ++l) {
+            const double v = static_cast<double>(data[i + l]);
+            lanes[l] += v * v;
+        }
+    }
+    double sum = 0.0;
+    for (double lane : lanes) sum += lane;
+    return std::sqrt(sum);
+}
+
 Trainer::Trainer(nn::ModulePtr model, AdamWConfig config,
                  RecoveryOptions recovery)
     : model_(std::move(model)), optimizer_(config),
@@ -426,9 +434,13 @@ Trainer::step(const std::vector<std::vector<Tensor>>& micro_batches)
     {
         obs::OpProfiler* prof = obs::OpProfiler::current();
         const auto reduce_start = StepClock::now();
-        const float inv = 1.0f / static_cast<float>(micro_batches.size());
-        for (Tensor& g : grads) {
-            g.scaleInPlace(inv);
+        if (micro_batches.size() > 1) {
+            // Averaging one micro-batch would multiply by 1.0f: no bit
+            // changes, so skip the pass over every gradient.
+            const float inv = 1.0f / static_cast<float>(micro_batches.size());
+            for (Tensor& g : grads) {
+                g.scaleInPlace(inv);
+            }
         }
         stats.grad_norm = globalGradNorm(grads);
         if (prof != nullptr) {

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <mutex>
+#include <new>
 #include <string_view>
 #include <vector>
 
@@ -63,6 +64,23 @@ envMode()
  * to the heap so a class never mixes buffer sizes. */
 constexpr int64_t kMaxClassElems = kMinClassElems
                                    << (kNumClasses - 1); // 2^40 floats
+
+/** Buffers start on a cache line, so a tensor or GEMM panel whose rows
+ * are whole lines never splits one (docs/PERFORMANCE.md). */
+constexpr std::align_val_t kBufferAlign{kBufferAlignBytes};
+
+float*
+heapAllocate(int64_t capacity)
+{
+    return static_cast<float*>(::operator new(
+        static_cast<size_t>(capacity) * sizeof(float), kBufferAlign));
+}
+
+void
+heapFree(float* data)
+{
+    ::operator delete(data, kBufferAlign);
+}
 
 /** Class index for a rounded capacity (power of two >= min class). */
 int
@@ -136,7 +154,7 @@ acquire(int64_t numel, int64_t* capacity_out)
         }
     }
     m.alloc_pool_misses.add(1);
-    return new float[static_cast<size_t>(capacity)];
+    return heapAllocate(capacity);
 }
 
 void
@@ -155,7 +173,7 @@ release(float* data, int64_t capacity)
             capacity * static_cast<int64_t>(sizeof(float)));
         return;
     }
-    delete[] data;
+    heapFree(data);
 }
 
 void
@@ -174,7 +192,7 @@ clearPool()
             static_cast<int64_t>(taken.size()) * capacity *
             static_cast<int64_t>(sizeof(float));
         for (float* p : taken) {
-            delete[] p;
+            heapFree(p);
         }
     }
     obs::metrics().alloc_pooled_bytes.add(-drained_bytes);

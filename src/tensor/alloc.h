@@ -57,8 +57,12 @@ constexpr int64_t kMinClassElems = 64;
  * power of two >= max(numel, kMinClassElems). */
 int64_t sizeClassFor(int64_t numel);
 
+/** Alignment of every buffer acquire() returns: one cache line. */
+constexpr int64_t kBufferAlignBytes = 64;
+
 /**
- * Acquire a buffer of at least `numel` floats. The contents are
+ * Acquire a buffer of at least `numel` floats, aligned to
+ * kBufferAlignBytes. The contents are
  * UNINITIALIZED (possibly stale data from a previous tensor) — callers
  * that need zeros must clear it. Returns the buffer and writes the
  * rounded size-class capacity (in floats) to `capacity_out`; that
@@ -78,7 +82,7 @@ void clearPool();
 int64_t pooledBytes();
 
 /**
- * RAII scratch buffer for kernel-internal temporaries (transpose packs,
+ * RAII scratch buffer for kernel-internal temporaries (GEMM panels,
  * partial-sum arrays) that previously went through std::vector: drawn
  * from the same pool, so steady-state kernels stop hitting the heap for
  * scratch too. Not zero-initialized.

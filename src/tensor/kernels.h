@@ -2,12 +2,13 @@
  * @file
  * Run-time ISA dispatch for the hot numeric kernels.
  *
- * The GEMM microkernel, the transpose pack behind every `linear` GEMM, the
- * AdamW update, and gelu, its backward and tanh are written once as
- * pointer-level chunk functions (kernels_body.h) and compiled three times:
- * for baseline x86-64 (SSE2), x86-64-v3 (AVX2) and x86-64-v4 (AVX-512).
- * The first call to `kernels()` asks cpuid for the widest level the CPU
- * supports and keeps that table.
+ * The packed-panel GEMM (its pack and its microkernel), the AdamW update,
+ * and gelu, its backward and tanh are written once as pointer-level chunk
+ * functions (kernels_body.h) and compiled three times: for baseline x86-64
+ * (SSE2), x86-64-v3 (AVX2) and x86-64-v4 (AVX-512). Each table also
+ * carries the GEMM tile its path was tuned for. The first call to
+ * `kernels()` asks cpuid for the widest level the CPU supports and keeps
+ * that table.
  *
  * Every path performs the same float operations in the same order: FMA
  * contraction is off, nothing is reassociated and no libm function is
@@ -35,13 +36,6 @@ enum class Isa
     X86_64_V4, ///< AVX-512 F/BW/CD/DQ/VL
 };
 
-/** Rows of C one GEMM microkernel tile accumulates together; callers
- * split a GEMM into row ranges at multiples of it. */
-constexpr int64_t kGemmRowTile = 4;
-
-/** Edge of the square tiles `transpose_tiles` walks. */
-constexpr int64_t kTransposeTile = 32;
-
 /** One AdamW step's hyper-parameters, bias corrections included. */
 struct AdamWStep
 {
@@ -54,26 +48,53 @@ struct AdamWStep
     float bias_correction2; ///< 1 - beta2^t
 };
 
+/**
+ * One `gemm_panel` call: C[0:rows, 0:cols] = seed + A[0:rows, 0:k] @ P,
+ * where P is one panel of B (`pack_panel`) and the seed is `bias` or zero.
+ */
+struct PanelGemm
+{
+    const float* a; ///< A[i, kk] = a[i * a_row_stride + kk * a_col_stride]
+    int64_t a_row_stride;
+    int64_t a_col_stride;
+    /** One panel from `pack_panel`: P[kk, j] = panel[kk * width + j],
+     * width being `cols` rounded up to whole vectors. */
+    const float* panel;
+    float* c; ///< C[i, j] = c[i * c_row_stride + j]
+    int64_t c_row_stride;
+    int64_t rows;
+    int64_t k;
+    int64_t cols;      ///< at most the table's panel_cols
+    const float* bias; ///< null, or `cols` floats seeded into every row
+};
+
 /** One ISA path's chunk functions. */
 struct KernelTable
 {
     Isa isa;
 
-    /**
-     * C[i0:i1, :] = A[i0:i1, :] @ B (+ bias), all row-major contiguous:
-     * A is [m, k], B is [k, n], C is [m, n]. When `bias` is non-null it is
-     * a length-n row seeded into every output row's accumulator. Each C
-     * element is a float sum over k ascending, written once.
-     */
-    void (*gemm_rows)(const float* A, const float* B, float* C, int64_t i0,
-                      int64_t i1, int64_t k, int64_t n, const float* bias);
+    /** GEMM tile of this path, chosen by measurement: floats per vector,
+     * rows of C per register tile, and columns per panel (a whole number
+     * of vectors, and a multiple of the tile rows). */
+    int64_t vector_floats;
+    int64_t tile_rows;
+    int64_t panel_cols;
 
     /**
-     * dst[c, r] = src[r, c] for src [rows, cols], restricted to the column
-     * tiles [tile_lo, tile_hi) of width kTransposeTile.
+     * Copy the columns [0, cols) of B [k, *] into one panel, width `cols`
+     * rounded up to whole vectors: panel[kk * width + j] = B[kk, j], and
+     * zero for cols <= j < width. B[kk, j] is src[kk * ld + j], or
+     * src[j * ld + kk] when `transposed`.
      */
-    void (*transpose_tiles)(const float* src, float* dst, int64_t rows,
-                            int64_t cols, int64_t tile_lo, int64_t tile_hi);
+    void (*pack_panel)(const float* src, int64_t ld, bool transposed,
+                       int64_t k, int64_t cols, float* panel);
+
+    /**
+     * Run one PanelGemm. Each C element is its seed plus a float sum over
+     * k ascending, written once: the same operations in the same order on
+     * every path, for any split of rows and panels across calls.
+     */
+    void (*gemm_panel)(const PanelGemm& g);
 
     /** AdamW update of n elements: param, grad, first and second moment. */
     void (*adamw)(const AdamWStep& step, float* param, const float* grad,

@@ -17,7 +17,9 @@
  *    undefined symbol in the objects, which catches a std::tanh here.
  *    The objects are built with -fno-trapping-math, so GCC may evaluate
  *    both sides of a float select and vectorize the loop; that changes
- *    no result.
+ *    no result. They are also built with -fno-tree-loop-distribute-patterns,
+ *    which keeps GCC from turning the pack's copy and zero loops into
+ *    memcpy and memset calls.
  *  - Internal linkage only: everything here lives in an anonymous
  *    namespace and calls no inline or template function from another
  *    header (no std::min, no std::sqrt). An out-of-line copy of a shared
@@ -35,93 +37,257 @@ namespace slapo {
 namespace kernels {
 namespace {
 
-int64_t
-minIndex(int64_t a, int64_t b)
+// --- packed-panel GEMM ---------------------------------------------------
+//
+// The one GEMM behind matmul, linear forward, and both linear backward
+// GEMMs (`gemm` in ops.cc packs and splits). `packPanel` copies
+// kPanelCols columns of B, all k rows, into one contiguous panel whose
+// rows are padded with zeros to whole vectors. `gemmPanel` streams a panel
+// once per kTileRows rows of A while a kTileRows x kPanelCols accumulator
+// tile stays in vector registers, so every C element is its seed plus a
+// float sum over k ascending, written once. The tile is per path, chosen
+// by measurement (docs/PERFORMANCE.md, "Blocked kernels").
+
+#if defined(__AVX512F__)
+constexpr int64_t kVecFloats = 16; // 32 zmm registers
+constexpr int64_t kTileRows = 4;
+constexpr int64_t kTileVecs = 4;
+#elif defined(__AVX2__)
+constexpr int64_t kVecFloats = 8; // 16 ymm registers
+constexpr int64_t kTileRows = 4;
+constexpr int64_t kTileVecs = 3;
+#else
+// 16 xmm registers, but no broadcast load: every A value costs a shuffle
+// on the ports the adds use. Two rows of eight vectors need more
+// registers than there are, yet measured ahead of tiles that fit
+// (4 x 3 and 2 x 4 vectors).
+constexpr int64_t kVecFloats = 4;
+constexpr int64_t kTileRows = 2;
+constexpr int64_t kTileVecs = 8;
+#endif
+constexpr int64_t kPanelCols = kVecFloats * kTileVecs;
+static_assert(kPanelCols % kTileRows == 0,
+              "a transposed A is packed in panels of whole row tiles");
+
+/** One vector register of floats, loaded and stored at any float
+ * alignment; may_alias, since it reads and writes float buffers. */
+typedef float Vec
+    __attribute__((vector_size(kVecFloats * sizeof(float)), aligned(4),
+                   may_alias));
+
+/**
+ * One RT x NV-vector tile of C at `c`: seed, then for each k step one
+ * panel row of NV vectors times RT broadcast A values. The RT * NV
+ * accumulators are locals the compiler keeps in registers across the
+ * k loop, as far as the path has them.
+ */
+template <int RT, int NV>
+__attribute__((always_inline)) inline void
+panelTile(const float* a, int64_t a_rs, int64_t a_cs, const float* panel,
+          int64_t k, const Vec* seed, float* c, int64_t ldc, int64_t cols)
 {
-    return a < b ? a : b;
+    Vec acc[RT][NV];
+#pragma GCC unroll 8
+    for (int r = 0; r < RT; ++r) {
+#pragma GCC unroll 8
+        for (int v = 0; v < NV; ++v) acc[r][v] = seed[v];
+    }
+    for (int64_t kk = 0; kk < k; ++kk) {
+        const float* prow = panel + kk * NV * kVecFloats;
+        const float* acol = a + kk * a_cs;
+        Vec b[NV];
+#pragma GCC unroll 8
+        for (int v = 0; v < NV; ++v) {
+            b[v] = *reinterpret_cast<const Vec*>(prow + v * kVecFloats);
+        }
+#pragma GCC unroll 8
+        for (int r = 0; r < RT; ++r) {
+            const float ar = acol[r * a_rs];
+#pragma GCC unroll 8
+            for (int v = 0; v < NV; ++v) acc[r][v] += ar * b[v];
+        }
+    }
+    if (cols == NV * kVecFloats) {
+#pragma GCC unroll 8
+        for (int r = 0; r < RT; ++r) {
+#pragma GCC unroll 8
+            for (int v = 0; v < NV; ++v) {
+                *reinterpret_cast<Vec*>(c + r * ldc + v * kVecFloats) =
+                    acc[r][v];
+            }
+        }
+        return;
+    }
+    // Last panel of a ragged n: store only the real columns.
+    for (int r = 0; r < RT; ++r) {
+        float lanes[NV * kVecFloats];
+#pragma GCC unroll 8
+        for (int v = 0; v < NV; ++v) {
+            *reinterpret_cast<Vec*>(lanes + v * kVecFloats) = acc[r][v];
+        }
+        for (int64_t j = 0; j < cols; ++j) c[r * ldc + j] = lanes[j];
+    }
 }
 
-// --- blocked GEMM microkernel --------------------------------------------
-//
-// The one microkernel behind matmul, linear forward, and both linear
-// backward GEMMs. Output is tiled kGemmRowTile x kColTile; the tile lives
-// in registers / L1 stack while the k loop streams A columns and B rows
-// through it, so every C element is written exactly once and every B row
-// is reused kGemmRowTile times per pass. Accumulation is float, k
-// ascending: a summation order that depends only on the shapes, never on
-// threading or the ISA.
-
-constexpr int64_t kColTile = 64; // accumulator width in floats (N tile)
-
+/** The rows left after the full tiles: one tile of exactly `rt` rows. */
+template <int RT, int NV>
 void
-gemmRows(const float* A, const float* B, float* C, int64_t i0, int64_t i1,
-         int64_t k, int64_t n, const float* bias)
+tailTile(int64_t rt, const float* a, int64_t a_rs, int64_t a_cs,
+         const float* panel, int64_t k, const Vec* seed, float* c,
+         int64_t ldc, int64_t cols)
 {
-    float acc[kGemmRowTile][kColTile];
-    for (int64_t i = i0; i < i1; i += kGemmRowTile) {
-        const int64_t rt = minIndex(kGemmRowTile, i1 - i);
-        for (int64_t j = 0; j < n; j += kColTile) {
-            const int64_t jt = minIndex(kColTile, n - j);
-            for (int64_t r = 0; r < rt; ++r) {
-                for (int64_t c = 0; c < jt; ++c) {
-                    acc[r][c] = bias ? bias[j + c] : 0.0f;
-                }
-            }
-            if (rt == kGemmRowTile && jt == kColTile) {
-                // Full tile: fixed trip counts so the compiler keeps the
-                // j loop vectorized and the four A broadcasts in registers.
-                for (int64_t kk = 0; kk < k; ++kk) {
-                    const float* brow = B + kk * n + j;
-                    const float a0 = A[(i + 0) * k + kk];
-                    const float a1 = A[(i + 1) * k + kk];
-                    const float a2 = A[(i + 2) * k + kk];
-                    const float a3 = A[(i + 3) * k + kk];
-                    for (int64_t c = 0; c < kColTile; ++c) {
-                        const float bv = brow[c];
-                        acc[0][c] += a0 * bv;
-                        acc[1][c] += a1 * bv;
-                        acc[2][c] += a2 * bv;
-                        acc[3][c] += a3 * bv;
-                    }
-                }
-            } else {
-                for (int64_t kk = 0; kk < k; ++kk) {
-                    const float* brow = B + kk * n + j;
-                    for (int64_t r = 0; r < rt; ++r) {
-                        const float ar = A[(i + r) * k + kk];
-                        for (int64_t c = 0; c < jt; ++c) {
-                            acc[r][c] += ar * brow[c];
-                        }
-                    }
-                }
-            }
-            for (int64_t r = 0; r < rt; ++r) {
-                float* crow = C + (i + r) * n + j;
-                for (int64_t c = 0; c < jt; ++c) {
-                    crow[c] = acc[r][c];
-                }
-            }
+    if constexpr (RT > 0) {
+        if (rt == RT) {
+            panelTile<RT, NV>(a, a_rs, a_cs, panel, k, seed, c, ldc, cols);
+        } else {
+            tailTile<RT - 1, NV>(rt, a, a_rs, a_cs, panel, k, seed, c, ldc,
+                                 cols);
         }
     }
 }
 
-/** Blocked transpose of column tiles [tile_lo, tile_hi): 32x32 tiles keep
- * both sides cache-resident. */
+/** All rows of `g` against a panel NV vectors wide. */
+template <int NV>
 void
-transposeTiles(const float* src, float* dst, int64_t rows, int64_t cols,
-               int64_t tile_lo, int64_t tile_hi)
+panelRows(const PanelGemm& g)
 {
-    for (int64_t ct = tile_lo; ct < tile_hi; ++ct) {
-        const int64_t c0 = ct * kTransposeTile;
-        const int64_t c1 = minIndex(cols, c0 + kTransposeTile);
-        for (int64_t r0 = 0; r0 < rows; r0 += kTransposeTile) {
-            const int64_t r1 = minIndex(rows, r0 + kTransposeTile);
-            for (int64_t r = r0; r < r1; ++r) {
-                for (int64_t c = c0; c < c1; ++c) {
-                    dst[c * rows + r] = src[r * cols + c];
-                }
-            }
+    const float* a = g.a;
+    const int64_t a_rs = g.a_row_stride;
+    const int64_t a_cs = g.a_col_stride;
+    const float* panel = g.panel;
+    float* c = g.c;
+    const int64_t ldc = g.c_row_stride;
+    const int64_t rows = g.rows;
+    const int64_t k = g.k;
+    const int64_t cols = g.cols;
+    float seed_lanes[NV * kVecFloats];
+    for (int64_t j = 0; j < NV * kVecFloats; ++j) {
+        seed_lanes[j] = g.bias != nullptr && j < cols ? g.bias[j] : 0.0f;
+    }
+    Vec seed[NV];
+    for (int v = 0; v < NV; ++v) {
+        seed[v] = *reinterpret_cast<const Vec*>(seed_lanes + v * kVecFloats);
+    }
+    int64_t i = 0;
+    for (; i + kTileRows <= rows; i += kTileRows) {
+        panelTile<kTileRows, NV>(a + i * a_rs, a_rs, a_cs, panel, k, seed,
+                                 c + i * ldc, ldc, cols);
+    }
+    tailTile<kTileRows - 1, NV>(rows - i, a + i * a_rs, a_rs, a_cs, panel, k,
+                                seed, c + i * ldc, ldc, cols);
+}
+
+/** panelRows for the panel's width in vectors (the last panel of a
+ * ragged n may be narrower than kTileVecs). */
+template <int NV>
+void
+panelRowsOfWidth(int64_t nv, const PanelGemm& g)
+{
+    if constexpr (NV > 0) {
+        if (nv == NV) {
+            panelRows<NV>(g);
+        } else {
+            panelRowsOfWidth<NV - 1>(nv, g);
         }
+    }
+}
+
+void
+gemmPanel(const PanelGemm& g)
+{
+    panelRowsOfWidth<kTileVecs>((g.cols + kVecFloats - 1) / kVecFloats, g);
+}
+
+// Transposing pack: a kVecFloats-square block is loaded as rows, then
+// log2(kVecFloats) rounds each interleave row i with row i + V/2, which
+// leaves the transpose in registers (one two-source shuffle per row and
+// round).
+typedef int32_t ShuffleMask
+    __attribute__((vector_size(kVecFloats * sizeof(int32_t))));
+#if defined(__AVX512F__)
+constexpr ShuffleMask kInterleaveLo = {0, 16, 1, 17, 2, 18, 3, 19,
+                                       4, 20, 5, 21, 6, 22, 7, 23};
+constexpr ShuffleMask kInterleaveHi = {8,  24, 9,  25, 10, 26, 11, 27,
+                                       12, 28, 13, 29, 14, 30, 15, 31};
+constexpr int kInterleaveRounds = 4;
+#elif defined(__AVX2__)
+constexpr ShuffleMask kInterleaveLo = {0, 8, 1, 9, 2, 10, 3, 11};
+constexpr ShuffleMask kInterleaveHi = {4, 12, 5, 13, 6, 14, 7, 15};
+constexpr int kInterleaveRounds = 3;
+#else
+constexpr ShuffleMask kInterleaveLo = {0, 4, 1, 5};
+constexpr ShuffleMask kInterleaveHi = {2, 6, 3, 7};
+constexpr int kInterleaveRounds = 2;
+#endif
+
+/** dst[j * ldd + i] = src[i * lds + j] for i, j < kVecFloats. */
+__attribute__((always_inline)) inline void
+transposeBlock(const float* src, int64_t lds, float* dst, int64_t ldd)
+{
+    Vec r[kVecFloats];
+#pragma GCC unroll 16
+    for (int i = 0; i < kVecFloats; ++i) {
+        r[i] = *reinterpret_cast<const Vec*>(src + i * lds);
+    }
+#pragma GCC unroll 4
+    for (int round = 0; round < kInterleaveRounds; ++round) {
+        Vec t[kVecFloats];
+#pragma GCC unroll 16
+        for (int i = 0; i < kVecFloats / 2; ++i) {
+            t[2 * i] = __builtin_shuffle(r[i], r[i + kVecFloats / 2],
+                                         kInterleaveLo);
+            t[2 * i + 1] = __builtin_shuffle(r[i], r[i + kVecFloats / 2],
+                                             kInterleaveHi);
+        }
+#pragma GCC unroll 16
+        for (int i = 0; i < kVecFloats; ++i) r[i] = t[i];
+    }
+#pragma GCC unroll 16
+    for (int j = 0; j < kVecFloats; ++j) {
+        *reinterpret_cast<Vec*>(dst + j * ldd) = r[j];
+    }
+}
+
+/** One panel row's columns [cols, width) are zero padding. */
+void
+zeroPad(float* row, int64_t cols, int64_t width)
+{
+    for (int64_t j = cols; j < width; ++j) row[j] = 0.0f;
+}
+
+void
+packPanel(const float* src, int64_t ld, bool transposed, int64_t k,
+          int64_t cols, float* panel)
+{
+    const int64_t width = (cols + kVecFloats - 1) / kVecFloats * kVecFloats;
+    if (!transposed) {
+        for (int64_t kk = 0; kk < k; ++kk) {
+            const float* s = src + kk * ld;
+            float* d = panel + kk * width;
+            for (int64_t j = 0; j < cols; ++j) d[j] = s[j];
+            zeroPad(d, cols, width);
+        }
+        return;
+    }
+    // B = W^T (linear): whole blocks through registers, so each source
+    // line is read once; the ragged edges element by element.
+    const int64_t k_blocks = k - k % kVecFloats;
+    const int64_t col_blocks = cols - cols % kVecFloats;
+    for (int64_t k0 = 0; k0 < k_blocks; k0 += kVecFloats) {
+        for (int64_t j0 = 0; j0 < col_blocks; j0 += kVecFloats) {
+            transposeBlock(src + j0 * ld + k0, ld, panel + k0 * width + j0,
+                           width);
+        }
+        for (int64_t kk = k0; kk < k0 + kVecFloats; ++kk) {
+            float* d = panel + kk * width;
+            for (int64_t j = col_blocks; j < cols; ++j) d[j] = src[j * ld + kk];
+            zeroPad(d, cols, width);
+        }
+    }
+    for (int64_t kk = k_blocks; kk < k; ++kk) {
+        float* d = panel + kk * width;
+        for (int64_t j = 0; j < cols; ++j) d[j] = src[j * ld + kk];
+        zeroPad(d, cols, width);
     }
 }
 

@@ -7,8 +7,8 @@ namespace kernels {
 namespace detail {
 
 extern const KernelTable kX86_64Table = {
-    Isa::X86_64, gemmRows, transposeTiles, adamwUpdate,
-    geluRange, geluBackwardRange, tanhRange};
+    Isa::X86_64, kVecFloats, kTileRows, kPanelCols, packPanel, gemmPanel,
+    adamwUpdate, geluRange, geluBackwardRange, tanhRange};
 
 } // namespace detail
 } // namespace kernels

@@ -7,8 +7,8 @@ namespace kernels {
 namespace detail {
 
 extern const KernelTable kX86_64V3Table = {
-    Isa::X86_64_V3, gemmRows, transposeTiles, adamwUpdate,
-    geluRange, geluBackwardRange, tanhRange};
+    Isa::X86_64_V3, kVecFloats, kTileRows, kPanelCols, packPanel, gemmPanel,
+    adamwUpdate, geluRange, geluBackwardRange, tanhRange};
 
 } // namespace detail
 } // namespace kernels

@@ -7,8 +7,8 @@ namespace kernels {
 namespace detail {
 
 extern const KernelTable kX86_64V4Table = {
-    Isa::X86_64_V4, gemmRows, transposeTiles, adamwUpdate,
-    geluRange, geluBackwardRange, tanhRange};
+    Isa::X86_64_V4, kVecFloats, kTileRows, kPanelCols, packPanel, gemmPanel,
+    adamwUpdate, geluRange, geluBackwardRange, tanhRange};
 
 } // namespace detail
 } // namespace kernels

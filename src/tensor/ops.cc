@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <optional>
+#include <span>
 
 #include "support/parallel.h"
 #include "tensor/alloc.h"
@@ -593,54 +595,148 @@ reduceToShape(const Tensor& grad_out, const Shape& shape)
 
 namespace {
 
-// --- blocked GEMM ---------------------------------------------------------
+// --- packed-panel GEMM ---------------------------------------------------
 //
-// matmul, linear forward, and both linear backward GEMMs run the one
-// dispatched microkernel (kernels.h) over row tiles. Each C element is a
-// float sum over k ascending whose order depends only on the shapes, so
-// any split of rows across threads, and any ISA path, gives the same bits.
+// matmul, linear forward and both linear backward GEMMs run through
+// `gemm`. It packs B once per call into panels of the active path's width
+// (kernels.h, `pack_panel`), then splits the work into (batch entry,
+// panel, row tile) units, in that order, so the row tiles of one chunk
+// stream the same panel from cache. Each C element is a bias-or-zero seed
+// plus a float sum over k ascending whatever the split or the ISA path,
+// so outputs are bit-identical at any thread count.
 
-constexpr int64_t kRowTile = kernels::kGemmRowTile;
+/** A GEMM operand: element (r, c) is data[r * ld + c], or data[c * ld + r]
+ * when `transposed`. */
+struct Operand
+{
+    const float* data;
+    int64_t ld;
+    bool transposed = false;
+};
 
-/** Row-tile grain sized so one chunk is ~2^18 flops (thread-independent). */
+constexpr int64_t kOneEntry[] = {0};
+
+/** The batch entries of one GEMM call: entry e multiplies A at
+ * a_offsets[e] by B block b_blocks[e] (blocks k * n floats apart) into
+ * the e-th m x n block of C. */
+struct GemmBatch
+{
+    std::span<const int64_t> a_offsets = kOneEntry;
+    std::span<const int64_t> b_blocks = kOneEntry;
+    int64_t b_count = 1; ///< distinct B blocks; each is packed once
+};
+
 int64_t
-gemmGrain(int64_t k, int64_t n)
+ceilDiv(int64_t a, int64_t b)
 {
-    const int64_t tile_flops = 2 * kRowTile * std::max<int64_t>(1, k) *
-                               std::max<int64_t>(1, n);
-    return std::max<int64_t>(1, (1 << 18) / tile_flops);
+    return (a + b - 1) / b;
+}
+
+int64_t
+roundUp(int64_t a, int64_t multiple)
+{
+    return ceilDiv(a, multiple) * multiple;
 }
 
 /**
- * Parallel C = A @ B (+ bias) over row tiles of one contiguous problem.
+ * Pack `blocks` [k, n] matrices (block j at src.data + j * k * n) into
+ * panels: block j at dst + j * k * roundUp(n, V), its panel q at
+ * q * k * P within, every panel row roundUp(min(P, n - q * P), V) wide.
  */
 void
-gemmParallel(const float* A, const float* B, float* C, int64_t m, int64_t k,
-             int64_t n, const float* bias)
+packPanels(const kernels::KernelTable& kt, Operand src, int64_t blocks,
+           int64_t k, int64_t n, float* dst)
 {
-    const auto gemm_rows = kernels::kernels().gemm_rows;
-    const int64_t row_tiles = (m + kRowTile - 1) / kRowTile;
-    support::parallelFor(0, row_tiles, gemmGrain(k, n),
+    const int64_t P = kt.panel_cols;
+    const int64_t panels = ceilDiv(n, P);
+    const int64_t block_floats = k * roundUp(n, kt.vector_floats);
+    const int64_t grain =
+        std::max<int64_t>(1, (1 << 16) / std::max<int64_t>(1, k * P));
+    support::parallelFor(0, blocks * panels, grain,
                          [&](int64_t lo, int64_t hi) {
-        gemm_rows(A, B, C, lo * kRowTile, std::min(m, hi * kRowTile), k, n,
-                  bias);
+        for (int64_t u = lo; u < hi; ++u) {
+            const int64_t j = u / panels;
+            const int64_t q = u % panels;
+            const int64_t cols = std::min(P, n - q * P);
+            const float* block = src.data + j * k * n;
+            kt.pack_panel(src.transposed ? block + q * P * src.ld
+                                         : block + q * P,
+                          src.ld, src.transposed, k, cols,
+                          dst + j * block_floats + q * k * P);
+        }
     });
 }
 
-/**
- * Blocked transpose pack: dst[c, r] = src[r, c] for src [rows, cols].
- * Used to present W^T (linear forward) and g^T (weight gradient) to the
- * row-major microkernel.
- */
+/** C = A @ B (+ bias) per batch entry: A [m, k], B [k, n], C [m, n]
+ * contiguous. Every C element is written exactly once. */
 void
-transposePack(const float* src, float* dst, int64_t rows, int64_t cols)
+gemm(Operand a, Operand b, float* c, int64_t m, int64_t k, int64_t n,
+     const float* bias, const GemmBatch& batch = GemmBatch{})
 {
-    const auto transpose_tiles = kernels::kernels().transpose_tiles;
-    const int64_t col_tiles =
-        (cols + kernels::kTransposeTile - 1) / kernels::kTransposeTile;
-    support::parallelFor(0, col_tiles, 4, [&](int64_t lo, int64_t hi) {
-        transpose_tiles(src, dst, rows, cols, lo, hi);
+    const int64_t entries = static_cast<int64_t>(batch.a_offsets.size());
+    if (entries == 0 || m == 0 || n == 0) return;
+    const kernels::KernelTable& kt = kernels::kernels();
+    const int64_t P = kt.panel_cols;
+    const int64_t V = kt.vector_floats;
+    const int64_t R = kt.tile_rows;
+    const int64_t panels = ceilDiv(n, P);
+
+    const int64_t b_block = k * roundUp(n, V);
+    alloc::Scratch b_panels(batch.b_count * b_block);
+    packPanels(kt, b, batch.b_count, k, n, b_panels.data());
+    // A transposed A (g^T in the weight gradient) is packed as the [k, m]
+    // matrix A^T, so the k-th values of a row tile sit side by side rather
+    // than `ld` floats apart; a row tile never straddles two of its panels.
+    std::optional<alloc::Scratch> a_panels;
+    if (a.transposed) {
+        SLAPO_ASSERT(entries == 1, "gemm: a transposed A is never batched");
+        a_panels.emplace(k * roundUp(m, V));
+        packPanels(kt, Operand{a.data, a.ld}, 1, k, m, a_panels->data());
+    }
+
+    const int64_t row_tiles = ceilDiv(m, R);
+    const int64_t tiles_per_a_panel = P / R;
+    const int64_t unit_flops = 2 * R * P * std::max<int64_t>(1, k);
+    support::parallelFor(0, entries * panels * row_tiles,
+                         std::max<int64_t>(1, (1 << 18) / unit_flops),
+                         [&](int64_t lo, int64_t hi) {
+        kernels::PanelGemm g{};
+        g.k = k;
+        g.c_row_stride = n;
+        for (int64_t u = lo; u < hi;) {
+            const int64_t e = u / (panels * row_tiles);
+            const int64_t q = u / row_tiles % panels;
+            const int64_t t0 = u % row_tiles;
+            int64_t t1 = std::min(row_tiles, t0 + (hi - u));
+            const int64_t i0 = t0 * R;
+            if (a_panels) {
+                const int64_t qa = t0 / tiles_per_a_panel;
+                t1 = std::min(t1, (qa + 1) * tiles_per_a_panel);
+                g.a = a_panels->data() + qa * k * P + (i0 - qa * P);
+                g.a_row_stride = 1;
+                g.a_col_stride = roundUp(std::min(P, m - qa * P), V);
+            } else {
+                g.a = a.data + batch.a_offsets[e] + i0 * a.ld;
+                g.a_row_stride = a.ld;
+                g.a_col_stride = 1;
+            }
+            g.panel = b_panels.data() + batch.b_blocks[e] * b_block + q * k * P;
+            g.cols = std::min(P, n - q * P);
+            g.c = c + e * m * n + i0 * n + q * P;
+            g.rows = std::min(m, t1 * R) - i0;
+            g.bias = bias != nullptr ? bias + q * P : nullptr;
+            kt.gemm_panel(g);
+            u += t1 - t0;
+        }
     });
+}
+
+/** Rows of `x` viewed as a matrix over its last dim (also when that dim
+ * is zero). */
+int64_t
+leadingRows(const Tensor& x)
+{
+    return numelOf(Shape(x.shape().begin(), x.shape().end() - 1));
 }
 
 } // namespace
@@ -667,11 +763,9 @@ matmul(const Tensor& a, const Tensor& b)
     Shape out_shape = batch;
     out_shape.push_back(m);
     out_shape.push_back(n);
-    // gemmRows writes every C element exactly once: no zero-init needed.
     Tensor out = Tensor::empty(out_shape);
 
-    // Per-batch flat offsets honoring broadcast on batch dims, computed
-    // up front so the parallel loop body is pure arithmetic.
+    // Per-entry A offsets and B blocks honoring broadcast on batch dims.
     const size_t rank = batch.size();
     auto aligned = [&](const Shape& s) {
         Shape r(rank, 1);
@@ -683,7 +777,8 @@ matmul(const Tensor& a, const Tensor& b)
     const auto stra = stridesOf(ba);
     const auto strb = stridesOf(bb);
     const auto strc = stridesOf(batch);
-    std::vector<int64_t> offs_a(n_batch), offs_b(n_batch);
+    std::vector<int64_t> a_offsets(n_batch);
+    std::vector<int64_t> b_blocks(n_batch);
     for (int64_t bi = 0; bi < n_batch; ++bi) {
         int64_t rem = bi;
         int64_t off_a = 0;
@@ -694,32 +789,11 @@ matmul(const Tensor& a, const Tensor& b)
             if (ba[d] != 1) off_a += idx * stra[d];
             if (bb[d] != 1) off_b += idx * strb[d];
         }
-        offs_a[bi] = off_a * m * k;
-        offs_b[bi] = off_b * k * n;
+        a_offsets[bi] = off_a * m * k;
+        b_blocks[bi] = off_b;
     }
-
-    const float* pa = a.data();
-    const float* pb = b.data();
-    float* po = out.data();
-
-    // Parallelize over batch x row-tiles: every unit owns a disjoint slab
-    // of C rows, so the partitioning is race-free and bit-deterministic.
-    const auto gemm_rows = kernels::kernels().gemm_rows;
-    const int64_t row_tiles = (m + kRowTile - 1) / kRowTile;
-    support::parallelFor(0, n_batch * row_tiles, gemmGrain(k, n),
-                         [&](int64_t lo, int64_t hi) {
-        for (int64_t u = lo; u < hi;) {
-            const int64_t bi = u / row_tiles;
-            const int64_t t0 = u % row_tiles;
-            // Take the longest run of tiles inside this batch entry.
-            const int64_t t1 =
-                std::min(row_tiles, t0 + (hi - u));
-            gemm_rows(pa + offs_a[bi], pb + offs_b[bi], po + bi * m * n,
-                      t0 * kRowTile, std::min(m, t1 * kRowTile), k, n,
-                      nullptr);
-            u += t1 - t0;
-        }
-    });
+    gemm({a.data(), k}, {b.data(), n}, out.data(), m, k, n, nullptr,
+         {a_offsets, b_blocks, numelOf(batch_b)});
     return out;
 }
 
@@ -742,24 +816,20 @@ linear(const Tensor& x, const Tensor& weight, const Tensor& bias)
     SLAPO_CHECK(x.size(-1) == in,
                 "linear: input features " << x.size(-1) << " != weight in "
                                           << in);
-    const int64_t rows = x.numel() / in;
+    const int64_t rows = leadingRows(x);
     Tensor x2 = x.reshape({rows, in});
 
-    // x @ W^T via the shared blocked microkernel: pack W^T once (cost
-    // out*in, amortized over all rows), then run the row-parallel GEMM
-    // with the bias seeded into the accumulator tile. Accumulation is
-    // float with blocked summation — the same convention as matmul, so
-    // linear(x, W, b) and add(matmul(x, W^T), b) agree within float
-    // rounding (see tests/test_parallel.cc).
+    // x @ W^T, the bias seeded into every row: the same accumulation as
+    // matmul, so linear(x, W, b) and add(matmul(x, W^T), b) agree within
+    // float rounding (see tests/test_parallel.cc).
     Tensor out = Tensor::empty({rows, out_f});
-    alloc::Scratch wt(in * out_f);
-    transposePack(weight.data(), wt.data(), out_f, in);
     const float* pb = nullptr;
     if (bias.numel() > 0) {
         SLAPO_CHECK(bias.numel() == out_f, "linear: bias size mismatch");
         pb = bias.data();
     }
-    gemmParallel(x2.data(), wt.data(), out.data(), rows, in, out_f, pb);
+    gemm({x2.data(), in}, {weight.data(), in, /*transposed=*/true},
+         out.data(), rows, in, out_f, pb);
 
     Shape out_shape = x.shape();
     out_shape.back() = out_f;
@@ -772,25 +842,22 @@ linearBackward(const Tensor& grad_out, const Tensor& x, const Tensor& weight,
 {
     const int64_t in = weight.size(1);
     const int64_t out_f = weight.size(0);
-    const int64_t rows = x.numel() / in;
+    const int64_t rows = leadingRows(x);
     Tensor g2 = grad_out.reshape({rows, out_f});
     Tensor x2 = x.reshape({rows, in});
     const float* pg = g2.data();
 
     LinearGrads grads;
-    // grad_x [rows, in] = g [rows, out] @ W [out, in]: W is already in
-    // row-major microkernel layout, no packing needed.
+    // grad_x [rows, in] = g [rows, out] @ W [out, in].
     grads.grad_x = Tensor::empty({rows, in});
-    gemmParallel(pg, weight.data(), grads.grad_x.data(), rows, out_f, in,
-                 nullptr);
+    gemm({pg, out_f}, {weight.data(), in}, grads.grad_x.data(), rows, out_f,
+         in, nullptr);
     grads.grad_x = grads.grad_x.reshape(x.shape());
 
     // grad_W [out, in] = g^T [out, rows] @ x [rows, in].
     grads.grad_weight = Tensor::empty({out_f, in});
-    alloc::Scratch gt(rows * out_f);
-    transposePack(pg, gt.data(), rows, out_f);
-    gemmParallel(gt.data(), x2.data(), grads.grad_weight.data(), out_f, rows,
-                 in, nullptr);
+    gemm({pg, out_f, /*transposed=*/true}, {x2.data(), in},
+         grads.grad_weight.data(), out_f, rows, in, nullptr);
 
     if (has_bias) {
         // Column sums of g: chunks own disjoint output columns and walk

@@ -211,6 +211,111 @@ TEST(ParallelDeterminism, Matmul)
     });
 }
 
+/** C = seed + A @ B by the definition: each element starts at its bias
+ * (or +0) and adds the products A[i, kk] * B[kk, j] in ascending kk,
+ * rounding each product (tests build for baseline x86-64: no FMA).
+ * A[i, kk] = a[i * a_rs + kk * a_cs] and B[kk, j] = b[kk * b_rs + j * b_cs]. */
+Tensor
+naiveGemm(const float* a, int64_t a_rs, int64_t a_cs, const float* b,
+          int64_t b_rs, int64_t b_cs, int64_t m, int64_t k, int64_t n,
+          const float* bias)
+{
+    Tensor c = Tensor::zeros({m, n});
+    float* pc = c.data();
+    for (int64_t i = 0; i < m; ++i) {
+        for (int64_t j = 0; j < n; ++j) {
+            float acc = bias != nullptr ? bias[j] : 0.0f;
+            for (int64_t kk = 0; kk < k; ++kk) {
+                acc += a[i * a_rs + kk * a_cs] * b[kk * b_rs + j * b_cs];
+            }
+            pc[i * n + j] = acc;
+        }
+    }
+    return c;
+}
+
+TEST(ParallelDeterminism, GemmsMatchNaiveReferenceBitForBit)
+{
+    // matmul, linear with and without bias, and both linearBackward GEMMs
+    // against the definition, byte for byte, on every ISA path at 1/2/7
+    // threads. n straddles the panel widths of all paths (32, 24 and 64
+    // columns) and m their 2- and 4-row tiles; every (m, n) pair runs,
+    // with k cycling through 0, 1, 17 and 256 so each k meets each m and n.
+    const int64_t ms[] = {1, 3, 4, 5, 64, 65, 130};
+    const int64_t ks[] = {0, 1, 17, 256};
+    const int64_t ns[] = {1, 15, 16, 17, 63, 64, 65, 130, 1030};
+    struct Case
+    {
+        Tensor x, w, bias, g, b;
+    };
+    std::vector<Case> cases;
+    std::vector<Tensor> expected;
+    uint64_t seed = 100;
+    for (size_t mi = 0; mi < std::size(ms); ++mi) {
+        for (size_t ni = 0; ni < std::size(ns); ++ni) {
+            const int64_t m = ms[mi];
+            const int64_t k = ks[(mi + ni) % std::size(ks)];
+            const int64_t n = ns[ni];
+            Case c{Tensor::uniform({m, k}, 1.0f, seed++),
+                   Tensor::uniform({n, k}, 1.0f, seed++),
+                   Tensor::uniform({n}, 1.0f, seed++),
+                   Tensor::uniform({m, n}, 1.0f, seed++),
+                   Tensor::uniform({k, n}, 1.0f, seed++)};
+            const float* x = c.x.data();
+            const float* w = c.w.data();
+            const float* g = c.g.data();
+            expected.push_back(
+                naiveGemm(x, k, 1, c.b.data(), n, 1, m, k, n, nullptr));
+            expected.push_back(
+                naiveGemm(x, k, 1, w, 1, k, m, k, n, c.bias.data()));
+            expected.push_back(naiveGemm(x, k, 1, w, 1, k, m, k, n, nullptr));
+            expected.push_back(naiveGemm(g, n, 1, w, k, 1, m, n, k, nullptr));
+            expected.push_back(naiveGemm(g, 1, n, x, k, 1, n, m, k, nullptr));
+            cases.push_back(std::move(c));
+        }
+    }
+    // Batched, broadcast on both sides: [2, 1] x [3] batch entries.
+    const Tensor ba = Tensor::uniform({2, 1, 5, 17}, 1.0f, seed++);
+    const Tensor bb = Tensor::uniform({3, 17, 65}, 1.0f, seed++);
+    Tensor batched = Tensor::zeros({2, 3, 5, 65});
+    for (int64_t i = 0; i < 2; ++i) {
+        for (int64_t j = 0; j < 3; ++j) {
+            const Tensor entry =
+                naiveGemm(ba.data() + i * 5 * 17, 17, 1,
+                          bb.data() + j * 17 * 65, 65, 1, 5, 17, 65, nullptr);
+            std::memcpy(batched.data() + (i * 3 + j) * 5 * 65, entry.data(),
+                        5 * 65 * sizeof(float));
+        }
+    }
+    expected.push_back(batched);
+
+    const Tensor no_bias = Tensor::zeros({0});
+    auto run = [&] {
+        std::vector<Tensor> out;
+        for (const Case& c : cases) {
+            out.push_back(ops::matmul(c.x, c.b));
+            out.push_back(ops::linear(c.x, c.w, c.bias));
+            out.push_back(ops::linear(c.x, c.w, no_bias));
+            ops::LinearGrads grads = ops::linearBackward(c.g, c.x, c.w, false);
+            out.push_back(grads.grad_x);
+            out.push_back(grads.grad_weight);
+        }
+        out.push_back(ops::matmul(ba, bb));
+        return out;
+    };
+    // Every path equals the default one (expectBitIdentical); the default
+    // one equals the definition.
+    expectBitIdentical(run);
+    const std::vector<Tensor> got = run();
+    ASSERT_EQ(got.size(), expected.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_TRUE(sameBits(got[i], expected[i]))
+            << "output " << i << " (case " << i / 5 << ", GEMM " << i % 5
+            << ") differs from the naive loop by up to "
+            << maxAbsDiff(got[i], expected[i]);
+    }
+}
+
 TEST(ParallelDeterminism, LinearForwardBackward)
 {
     Tensor x = Tensor::uniform({2, 19, 64}, 1.0f, 3);
@@ -436,10 +541,10 @@ TEST(AccumulationPrecision, LinearMatchesMatmulComposition)
 
 TEST(ParallelDeterminism, GlobalGradNormBitwiseStableAcrossThreadCounts)
 {
-    // The run log's global grad norm (TrainStepStats::grad_norm) is a
-    // sequential double accumulation over the averaged gradients, so the
-    // determinism contract extends to it: bit-identical at any kernel
-    // thread count. A fresh model per run — stepping mutates parameters.
+    // The run log's global grad norm (TrainStepStats::grad_norm) sums the
+    // averaged gradients in a fixed lane order, so the determinism
+    // contract extends to it: bit-identical at any kernel thread count.
+    // A fresh model per run — stepping mutates parameters.
     ThreadGuard guard;
     auto run_one_step = [] {
         auto model =
@@ -465,6 +570,31 @@ TEST(ParallelDeterminism, GlobalGradNormBitwiseStableAcrossThreadCounts)
             << "grad norm " << got << " != " << reference << " at "
             << threads << " threads";
     }
+}
+
+TEST(ParallelDeterminism, GlobalGradNormWithinLongDoubleReference)
+{
+    // Magnitudes six decades apart, and lengths that leave every lane
+    // count as a tail.
+    const std::vector<Tensor> grads = {
+        Tensor::uniform({1000, 257}, 1e-3f, 31),
+        Tensor::uniform({7}, 2.0f, 32),
+        Tensor::randn({513, 129}, 1e-6f, 33),
+        Tensor::uniform({15}, 0.5f, 34),
+    };
+    long double sum = 0.0L;
+    for (const Tensor& g : grads) {
+        const float* data = g.data();
+        for (int64_t i = 0; i < g.numel(); ++i) {
+            const long double v = data[i];
+            sum += v * v;
+        }
+    }
+    const long double reference = std::sqrt(sum);
+    const double got = runtime::globalGradNorm(grads);
+    EXPECT_LE(std::abs(static_cast<long double>(got) - reference) / reference,
+              1e-12L)
+        << got << " vs " << static_cast<double>(reference);
 }
 
 } // namespace
