@@ -140,6 +140,25 @@ BENCHMARK(BM_TensorLinear)
     ->ArgNames({"rows", "out"});
 
 void
+BM_TensorLinearBaselineIsa(benchmark::State& state)
+{
+    // fc1 at 256 rows (256 -> 1024) on the baseline x86-64 path, which
+    // emulates the GEMM's fused multiply-add in double: what a CPU without
+    // AVX2 pays. The default path is restored afterwards.
+    const kernels::Isa saved = kernels::kernels().isa;
+    kernels::setIsaForTesting(kernels::Isa::X86_64);
+    Tensor x = Tensor::uniform({256, 256}, 1.0f, 7);
+    Tensor w = Tensor::uniform({1024, 256}, 0.02f, 8);
+    Tensor b = Tensor::zeros({1024});
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(ops::linear(x, w, b));
+    }
+    state.SetItemsProcessed(state.iterations() * 2 * 256 * 256 * 1024);
+    kernels::setIsaForTesting(saved);
+}
+BENCHMARK(BM_TensorLinearBaselineIsa)->Unit(benchmark::kMillisecond);
+
+void
 BM_TensorLinearBackward(benchmark::State& state)
 {
     // Both GEMMs and the bias sum of the decoder's backward at 256 rows.

@@ -15,8 +15,17 @@
 # tier-1 stays fast; run it manually with no filter for whole-suite ASan
 # coverage:
 #
-# Usage: bench/run_asan.sh [extra ctest args, e.g. -R Alloc]
+# Usage: bench/run_asan.sh [--targets=EXE,...] [extra ctest args, e.g. -R Alloc]
 set -euo pipefail
+
+# --targets=a,b,... builds only those test executables; the ctest gates
+# pass the ones that hold a test their filter selects. Default: all of
+# them (the slapo_tests target).
+targets=(slapo_tests)
+if [[ "${1:-}" == --targets=* ]]; then
+    IFS=, read -r -a targets <<< "${1#--targets=}"
+    shift
+fi
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD="${ROOT}/build-asan"
@@ -29,7 +38,7 @@ cmake -B "${BUILD}" -S "${ROOT}" "${gen[@]}" \
 # Only the test executables: the benches and examples (and the smoke
 # tests that drive them) are not part of the gate. Build the whole tree
 # first for a no-filter run that includes them.
-cmake --build "${BUILD}" -j --target slapo_tests
+cmake --build "${BUILD}" -j --target "${targets[@]}"
 
 # Any report fails the run; leak detection stays on — pool-parked
 # buffers are reachable through the allocator's free lists, so they are

@@ -2,7 +2,8 @@
 # Run the numeric-kernel micro-benchmarks and record the results as
 # BENCH_kernels.json at the repo root. Covers the blocked/parallel kernel
 # backend: matmul sizes 32..512, the thread-sweep variants (n x threads),
-# linear at the mid model's wide shapes and its backward, layernorm,
+# linear at the mid model's wide shapes and its backward, fc1 forced onto
+# the baseline (SSE2) path, whose fused multiply-add is emulated, layernorm,
 # softmax, and gelu with its backward — plus the caching-allocator A/B
 # (BM_AllocStep / BM_AllocAcquireRelease, pool=0 vs pool=1).
 #
@@ -21,7 +22,7 @@ fi
 
 out="$repo_root/BENCH_kernels.json"
 "$bench_bin" \
-    --benchmark_filter='BM_Tensor(Matmul|MatmulThreads|Linear|LinearThreads|LinearBackward|LayerNorm|Softmax|Gelu|GeluBackward)|BM_Alloc(Step|AcquireRelease)' \
+    --benchmark_filter='BM_Tensor(Matmul|MatmulThreads|Linear|LinearThreads|LinearBaselineIsa|LinearBackward|LayerNorm|Softmax|Gelu|GeluBackward)|BM_Alloc(Step|AcquireRelease)' \
     --benchmark_format=json \
     --benchmark_out="$out" \
     --benchmark_out_format=json

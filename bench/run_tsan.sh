@@ -11,8 +11,17 @@
 # elastic-recovery suite (-R Elastic); run it by hand with -R Fault or
 # no filter for the full tier-1 suite under TSan.
 #
-# Usage: bench/run_tsan.sh [extra ctest args, e.g. -R Fault]
+# Usage: bench/run_tsan.sh [--targets=EXE,...] [extra ctest args, e.g. -R Fault]
 set -euo pipefail
+
+# --targets=a,b,... builds only those test executables; the ctest gates
+# pass the ones that hold a test their filter selects. Default: all of
+# them (the slapo_tests target).
+targets=(slapo_tests)
+if [[ "${1:-}" == --targets=* ]]; then
+    IFS=, read -r -a targets <<< "${1#--targets=}"
+    shift
+fi
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD="${ROOT}/build-tsan"
@@ -23,7 +32,7 @@ cmake -B "${BUILD}" -S "${ROOT}" -G Ninja \
 # Only the test executables: the benches and examples (and the smoke
 # tests that drive them) are not part of the gate. Build the whole tree
 # first for a no-filter run that includes them.
-cmake --build "${BUILD}" -j --target slapo_tests
+cmake --build "${BUILD}" -j --target "${targets[@]}"
 
 # Second-guess TSan's default behaviour of continuing after a report:
 # any race fails the run.

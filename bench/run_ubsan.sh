@@ -13,8 +13,17 @@
 # the graph/schedule/alloc/analysis tests so tier-1 stays fast; run it
 # manually with no filter for whole-suite UBSan coverage:
 #
-# Usage: bench/run_ubsan.sh [extra ctest args, e.g. -R Sharding]
+# Usage: bench/run_ubsan.sh [--targets=EXE,...] [extra ctest args, e.g. -R Sharding]
 set -euo pipefail
+
+# --targets=a,b,... builds only those test executables; the ctest gates
+# pass the ones that hold a test their filter selects. Default: all of
+# them (the slapo_tests target).
+targets=(slapo_tests)
+if [[ "${1:-}" == --targets=* ]]; then
+    IFS=, read -r -a targets <<< "${1#--targets=}"
+    shift
+fi
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD="${ROOT}/build-ubsan"
@@ -27,7 +36,7 @@ cmake -B "${BUILD}" -S "${ROOT}" "${gen[@]}" \
 # Only the test executables: the benches and examples (and the smoke
 # tests that drive them) are not part of the gate. Build the whole tree
 # first for a no-filter run that includes them.
-cmake --build "${BUILD}" -j --target slapo_tests
+cmake --build "${BUILD}" -j --target "${targets[@]}"
 
 # The build already passes -fno-sanitize-recover=all, so any report
 # aborts the offending test; print_stacktrace makes the one-line UBSan

@@ -16,8 +16,9 @@
  * what the obs byte counters account, so alloc/live/peak stay exact
  * with respect to real memory held. Free lists are guarded by one mutex
  * per size class; the numeric kernels allocate from the main thread and
- * the DistExecutor / pipeline rank threads, never from inside
- * parallelFor chunks, so contention is negligible.
+ * the DistExecutor / pipeline rank threads, and inside parallelFor chunks
+ * only the GEMM's one panel scratch per chunk, so contention is
+ * negligible.
  *
  * Observability (obs/metrics.h):
  *   alloc.pool_hits    requests served from a free list

@@ -11,9 +11,10 @@
  * that table.
  *
  * Every path performs the same float operations in the same order: FMA
- * contraction is off, nothing is reassociated and no libm function is
- * called, so outputs are bit-identical across paths (docs/PERFORMANCE.md,
- * "ISA dispatch").
+ * contraction is off, the GEMM's one fused multiply-add per k step is
+ * explicit (emulated exactly on SSE2), nothing is reassociated and no libm
+ * function is called, so outputs are bit-identical across paths
+ * (docs/PERFORMANCE.md, "ISA dispatch").
  * Callers keep the shape checks, allocation and `parallelFor` split, so
  * chunk boundaries stay a function of the shapes alone.
  *
@@ -32,7 +33,7 @@ namespace kernels {
 enum class Isa
 {
     X86_64,    ///< baseline: SSE2
-    X86_64_V3, ///< AVX2 (and FMA, which the build keeps uncontracted)
+    X86_64_V3, ///< AVX2 and FMA (used only by the GEMM's explicit fmaf)
     X86_64_V4, ///< AVX-512 F/BW/CD/DQ/VL
 };
 
@@ -90,9 +91,11 @@ struct KernelTable
                        int64_t k, int64_t cols, float* panel);
 
     /**
-     * Run one PanelGemm. Each C element is its seed plus a float sum over
-     * k ascending, written once: the same operations in the same order on
-     * every path, for any split of rows and panels across calls.
+     * Run one PanelGemm. Each C element is its seed followed by one
+     * correctly rounded fused multiply-add per k step, k ascending,
+     * c = fmaf(A[i, kk], P[kk, j], c), written once: the same operations
+     * in the same order on every path (SSE2 emulates the fmaf exactly),
+     * for any split of rows and panels across calls.
      */
     void (*gemm_panel)(const PanelGemm& g);
 

@@ -8,9 +8,11 @@
  *  - Plain float add, subtract, multiply, divide and sqrt only, plus
  *    float<->int conversions (float->int truncating) and bit moves, each
  *    element's operations in a fixed order. The build passes
- *    -ffp-contract=off, so the AVX paths never fuse a multiply-add, and
- *    without -ffast-math the compiler may vectorize across independent
- *    elements but never reassociate a sum.
+ *    -ffp-contract=off, so the compiler never fuses a multiply-add, and
+ *    without -ffast-math it may vectorize across independent elements but
+ *    never reassociate a sum. The one fused multiply-add is the GEMM's,
+ *    written out: the vfmadd instruction on the AVX paths, an exact
+ *    emulation on SSE2 (fusedMultiplyAdd).
  *  - No libm: every IEEE basic operation rounds the same in every ISA,
  *    but libm's functions are glibc's own and scalar. tanh and exp are
  *    written out below instead. The isa_symbols test fails on any
@@ -25,9 +27,13 @@
  *    header (no std::min, no std::sqrt). An out-of-line copy of a shared
  *    inline function in an AVX-512 object could otherwise be the one the
  *    linker keeps, and an AVX2-only CPU would die on it with SIGILL. The
- *    isa_symbols test checks the objects for such weak symbols.
+ *    isa_symbols test checks the objects for such weak symbols. The
+ *    <immintrin.h> intrinsics are the exception: they are declared
+ *    gnu_inline and always_inline, so no object ever holds a copy.
  */
 #pragma once
+
+#include <immintrin.h>
 
 #include <cstdint>
 
@@ -40,30 +46,30 @@ namespace {
 // --- packed-panel GEMM ---------------------------------------------------
 //
 // The one GEMM behind matmul, linear forward, and both linear backward
-// GEMMs (`gemm` in ops.cc packs and splits). `packPanel` copies
-// kPanelCols columns of B, all k rows, into one contiguous panel whose
-// rows are padded with zeros to whole vectors. `gemmPanel` streams a panel
-// once per kTileRows rows of A while a kTileRows x kPanelCols accumulator
-// tile stays in vector registers, so every C element is its seed plus a
-// float sum over k ascending, written once. The tile is per path, chosen
-// by measurement (docs/PERFORMANCE.md, "Blocked kernels").
+// GEMMs (`gemm` in ops.cc splits the work and packs per chunk).
+// `packPanel` copies kPanelCols columns of B, all k rows, into one
+// contiguous panel whose rows are padded with zeros to whole vectors.
+// `gemmPanel` streams a panel once per kTileRows rows of A while a
+// kTileRows x kPanelCols accumulator tile stays in vector registers. Every
+// k step is one correctly rounded fused multiply-add, c = fmaf(a, b, c),
+// k ascending from the bias-or-+0 seed, and each C element is written
+// once. The tile is per path, chosen by measurement (docs/PERFORMANCE.md,
+// "Blocked kernels").
 
 #if defined(__AVX512F__)
 constexpr int64_t kVecFloats = 16; // 32 zmm registers
-constexpr int64_t kTileRows = 4;
-constexpr int64_t kTileVecs = 4;
+constexpr int64_t kTileRows = 8;
+constexpr int64_t kTileVecs = 2;
 #elif defined(__AVX2__)
 constexpr int64_t kVecFloats = 8; // 16 ymm registers
 constexpr int64_t kTileRows = 4;
 constexpr int64_t kTileVecs = 3;
 #else
-// 16 xmm registers, but no broadcast load: every A value costs a shuffle
-// on the ports the adds use. Two rows of eight vectors need more
-// registers than there are, yet measured ahead of tiles that fit
-// (4 x 3 and 2 x 4 vectors).
+// 16 xmm registers; every fused multiply-add is emulated in double
+// (fusedMultiplyAdd), which costs far more than the loads the tile saves.
 constexpr int64_t kVecFloats = 4;
-constexpr int64_t kTileRows = 2;
-constexpr int64_t kTileVecs = 8;
+constexpr int64_t kTileRows = 4;
+constexpr int64_t kTileVecs = 4;
 #endif
 constexpr int64_t kPanelCols = kVecFloats * kTileVecs;
 static_assert(kPanelCols % kTileRows == 0,
@@ -75,19 +81,115 @@ typedef float Vec
     __attribute__((vector_size(kVecFloats * sizeof(float)), aligned(4),
                    may_alias));
 
+#if !defined(__AVX2__)
+/**
+ * fmaf(a, b, c) from SSE2 arithmetic. The product of two floats is exact
+ * in double, so only the double sum s = a * b + c rounds before the final
+ * rounding to float. Rounding s to odd instead (when the sum is inexact,
+ * step to the neighbour with an odd last bit on the exact sum's side; the
+ * TwoSum error e gives the side) keeps the two roundings equal to one:
+ * double has 29 bits more than float (Boldo and Melquiond, "Emulation of
+ * FMA and correctly rounded sums", 2008).
+ */
+float
+fmaEmulated(float a, float b, float c)
+{
+    const double p = static_cast<double>(a) * static_cast<double>(b);
+    const double cd = c;
+    const double s = p + cd;
+    // TwoSum: s + e == p + cd exactly; e is NaN when s is not finite.
+    const double cv = s - p;
+    const double pv = s - cv;
+    const double e = (p - pv) + (cd - cv);
+    uint64_t bits = __builtin_bit_cast(uint64_t, s);
+    if ((e < 0.0 || e > 0.0) && (bits & 1) == 0) {
+        bits = (e > 0.0) == (s > 0.0) ? bits + 1 : bits - 1;
+    }
+    return static_cast<float>(__builtin_bit_cast(double, bits));
+}
+#endif
+
+/** A vector with x in every lane. */
+__attribute__((always_inline)) inline Vec
+broadcast(float x)
+{
+#if defined(__AVX512F__)
+    return _mm512_set1_ps(x);
+#elif defined(__AVX2__)
+    return _mm256_set1_ps(x);
+#else
+    return _mm_set1_ps(x);
+#endif
+}
+
+/** Per lane, c + a * b rounded once: fmaf. */
+__attribute__((always_inline)) inline Vec
+fusedMultiplyAdd(Vec a, Vec b, Vec c)
+{
+#if defined(__AVX512F__)
+    return _mm512_fmadd_ps(a, b, c);
+#elif defined(__AVX2__)
+    return _mm256_fmadd_ps(a, b, c);
+#else
+    const __m128d a_lo = _mm_cvtps_pd(a);
+    const __m128d a_hi = _mm_cvtps_pd(_mm_movehl_ps(a, a));
+    const __m128d b_lo = _mm_cvtps_pd(b);
+    const __m128d b_hi = _mm_cvtps_pd(_mm_movehl_ps(b, b));
+    const __m128d s_lo =
+        _mm_add_pd(_mm_mul_pd(a_lo, b_lo), _mm_cvtps_pd(c));
+    const __m128d s_hi = _mm_add_pd(_mm_mul_pd(a_hi, b_hi),
+                                    _mm_cvtps_pd(_mm_movehl_ps(c, c)));
+    // Rounding s to float can only go wrong when s sits on a float
+    // midpoint, whose low 29 bits are 1 then 28 zeros (more zeros in the
+    // float subnormal range). Vectors where no lane's sum has its low 28
+    // bits zero skip the correction; the rest run fmaEmulated per lane.
+    const __m128 low_words = _mm_shuffle_ps(
+        _mm_castpd_ps(s_lo), _mm_castpd_ps(s_hi), _MM_SHUFFLE(2, 0, 2, 0));
+    const __m128i low_bits = _mm_and_si128(_mm_castps_si128(low_words),
+                                           _mm_set1_epi32(0x0fffffff));
+    if (__builtin_expect(
+            _mm_movemask_epi8(_mm_cmpeq_epi32(low_bits,
+                                              _mm_setzero_si128())) != 0,
+            0)) {
+        Vec out;
+        for (int i = 0; i < kVecFloats; ++i) {
+            out[i] = fmaEmulated(a[i], b[i], c[i]);
+        }
+        return out;
+    }
+    return _mm_movelh_ps(_mm_cvtpd_ps(s_lo), _mm_cvtpd_ps(s_hi));
+#endif
+}
+
+/**
+ * Keep `v` in a register up to this point. Without it GCC writes the last
+ * fused multiply-add of a full tile's k step into the register of the B
+ * vector or broadcast A value that dies there, and then copies the
+ * accumulators it displaced once per k step. (Tail tiles fold their few B
+ * loads into the multiply-adds instead and keep about one register copy
+ * per accumulator.)
+ */
+__attribute__((always_inline)) inline void
+keepInRegister(Vec v)
+{
+    __asm__("" : : "v"(v));
+}
+
 /**
  * One RT x NV-vector tile of C at `c`: seed, then for each k step one
- * panel row of NV vectors times RT broadcast A values. The RT * NV
- * accumulators are locals the compiler keeps in registers across the
- * k loop, as far as the path has them.
+ * panel row of NV vectors times RT broadcast A values, one fused
+ * multiply-add per accumulator. The RT * NV accumulators are locals the
+ * compiler keeps in registers across the k loop. The full-width and the
+ * ragged store are separate instantiations: with both after one loop, GCC
+ * copies accumulators on every k step.
  */
-template <int RT, int NV>
+template <int RT, int NV, bool FullWidth>
 __attribute__((always_inline)) inline void
 panelTile(const float* a, int64_t a_rs, int64_t a_cs, const float* panel,
           int64_t k, const Vec* seed, float* c, int64_t ldc, int64_t cols)
 {
     Vec acc[RT][NV];
-#pragma GCC unroll 8
+#pragma GCC unroll 16
     for (int r = 0; r < RT; ++r) {
 #pragma GCC unroll 8
         for (int v = 0; v < NV; ++v) acc[r][v] = seed[v];
@@ -100,15 +202,22 @@ panelTile(const float* a, int64_t a_rs, int64_t a_cs, const float* panel,
         for (int v = 0; v < NV; ++v) {
             b[v] = *reinterpret_cast<const Vec*>(prow + v * kVecFloats);
         }
-#pragma GCC unroll 8
+#pragma GCC unroll 16
         for (int r = 0; r < RT; ++r) {
-            const float ar = acol[r * a_rs];
+            const Vec ar = broadcast(acol[r * a_rs]);
 #pragma GCC unroll 8
-            for (int v = 0; v < NV; ++v) acc[r][v] += ar * b[v];
+            for (int v = 0; v < NV; ++v) {
+                acc[r][v] = fusedMultiplyAdd(ar, b[v], acc[r][v]);
+            }
+            if constexpr (RT == kTileRows) keepInRegister(ar);
+        }
+        if constexpr (RT == kTileRows) {
+#pragma GCC unroll 8
+            for (int v = 0; v < NV; ++v) keepInRegister(b[v]);
         }
     }
-    if (cols == NV * kVecFloats) {
-#pragma GCC unroll 8
+    if constexpr (FullWidth) {
+#pragma GCC unroll 16
         for (int r = 0; r < RT; ++r) {
 #pragma GCC unroll 8
             for (int v = 0; v < NV; ++v) {
@@ -116,21 +225,21 @@ panelTile(const float* a, int64_t a_rs, int64_t a_cs, const float* panel,
                     acc[r][v];
             }
         }
-        return;
-    }
-    // Last panel of a ragged n: store only the real columns.
-    for (int r = 0; r < RT; ++r) {
-        float lanes[NV * kVecFloats];
+    } else {
+        // Last panel of a ragged n: store only the real columns.
+        for (int r = 0; r < RT; ++r) {
+            float lanes[NV * kVecFloats];
 #pragma GCC unroll 8
-        for (int v = 0; v < NV; ++v) {
-            *reinterpret_cast<Vec*>(lanes + v * kVecFloats) = acc[r][v];
+            for (int v = 0; v < NV; ++v) {
+                *reinterpret_cast<Vec*>(lanes + v * kVecFloats) = acc[r][v];
+            }
+            for (int64_t j = 0; j < cols; ++j) c[r * ldc + j] = lanes[j];
         }
-        for (int64_t j = 0; j < cols; ++j) c[r * ldc + j] = lanes[j];
     }
 }
 
 /** The rows left after the full tiles: one tile of exactly `rt` rows. */
-template <int RT, int NV>
+template <int RT, int NV, bool FullWidth>
 void
 tailTile(int64_t rt, const float* a, int64_t a_rs, int64_t a_cs,
          const float* panel, int64_t k, const Vec* seed, float* c,
@@ -138,16 +247,18 @@ tailTile(int64_t rt, const float* a, int64_t a_rs, int64_t a_cs,
 {
     if constexpr (RT > 0) {
         if (rt == RT) {
-            panelTile<RT, NV>(a, a_rs, a_cs, panel, k, seed, c, ldc, cols);
+            panelTile<RT, NV, FullWidth>(a, a_rs, a_cs, panel, k, seed, c,
+                                         ldc, cols);
         } else {
-            tailTile<RT - 1, NV>(rt, a, a_rs, a_cs, panel, k, seed, c, ldc,
-                                 cols);
+            tailTile<RT - 1, NV, FullWidth>(rt, a, a_rs, a_cs, panel, k, seed,
+                                            c, ldc, cols);
         }
     }
 }
 
-/** All rows of `g` against a panel NV vectors wide. */
-template <int NV>
+/** All rows of `g` against a panel NV vectors wide; FullWidth when the
+ * panel has no padding columns. */
+template <int NV, bool FullWidth>
 void
 panelRows(const PanelGemm& g)
 {
@@ -170,11 +281,12 @@ panelRows(const PanelGemm& g)
     }
     int64_t i = 0;
     for (; i + kTileRows <= rows; i += kTileRows) {
-        panelTile<kTileRows, NV>(a + i * a_rs, a_rs, a_cs, panel, k, seed,
-                                 c + i * ldc, ldc, cols);
+        panelTile<kTileRows, NV, FullWidth>(a + i * a_rs, a_rs, a_cs, panel, k,
+                                            seed, c + i * ldc, ldc, cols);
     }
-    tailTile<kTileRows - 1, NV>(rows - i, a + i * a_rs, a_rs, a_cs, panel, k,
-                                seed, c + i * ldc, ldc, cols);
+    tailTile<kTileRows - 1, NV, FullWidth>(rows - i, a + i * a_rs, a_rs, a_cs,
+                                           panel, k, seed, c + i * ldc, ldc,
+                                           cols);
 }
 
 /** panelRows for the panel's width in vectors (the last panel of a
@@ -184,10 +296,12 @@ void
 panelRowsOfWidth(int64_t nv, const PanelGemm& g)
 {
     if constexpr (NV > 0) {
-        if (nv == NV) {
-            panelRows<NV>(g);
-        } else {
+        if (nv != NV) {
             panelRowsOfWidth<NV - 1>(nv, g);
+        } else if (g.cols == NV * kVecFloats) {
+            panelRows<NV, true>(g);
+        } else {
+            panelRows<NV, false>(g);
         }
     }
 }

@@ -598,11 +598,12 @@ namespace {
 // --- packed-panel GEMM ---------------------------------------------------
 //
 // matmul, linear forward and both linear backward GEMMs run through
-// `gemm`. It packs B once per call into panels of the active path's width
-// (kernels.h, `pack_panel`), then splits the work into (batch entry,
-// panel, row tile) units, in that order, so the row tiles of one chunk
-// stream the same panel from cache. Each C element is a bias-or-zero seed
-// plus a float sum over k ascending whatever the split or the ISA path,
+// `gemm`. It splits the work into (batch entry, panel) units over
+// `parallelFor`. Each chunk packs the panel it is about to stream into its
+// own scratch of k rows (kernels.h, `pack_panel`), so the panel is still
+// in L1 when the chunk's row tiles read it and no thread reads panels
+// another thread wrote. Each C element is one fused multiply-add per k step, k
+// ascending from a bias-or-zero seed, whatever the split or the ISA path,
 // so outputs are bit-identical at any thread count.
 
 /** A GEMM operand: element (r, c) is data[r * ld + c], or data[c * ld + r]
@@ -623,8 +624,12 @@ struct GemmBatch
 {
     std::span<const int64_t> a_offsets = kOneEntry;
     std::span<const int64_t> b_blocks = kOneEntry;
-    int64_t b_count = 1; ///< distinct B blocks; each is packed once
 };
+
+/** Work per `gemm` chunk: whole panels, about this many flops. Enough to
+ * amortize a chunk's dispatch and scratch; few enough that a 128^3 matmul
+ * still splits in two. */
+constexpr int64_t kGemmChunkFlops = int64_t{1} << 21;
 
 int64_t
 ceilDiv(int64_t a, int64_t b)
@@ -639,30 +644,21 @@ roundUp(int64_t a, int64_t multiple)
 }
 
 /**
- * Pack `blocks` [k, n] matrices (block j at src.data + j * k * n) into
- * panels: block j at dst + j * k * roundUp(n, V), its panel q at
- * q * k * P within, every panel row roundUp(min(P, n - q * P), V) wide.
+ * Pack a row-major [k, n] matrix (row stride `ld`) into panels at dst:
+ * panel q at q * k * P, every panel row roundUp(min(P, n - q * P), V)
+ * wide.
  */
 void
-packPanels(const kernels::KernelTable& kt, Operand src, int64_t blocks,
+packPanels(const kernels::KernelTable& kt, const float* src, int64_t ld,
            int64_t k, int64_t n, float* dst)
 {
     const int64_t P = kt.panel_cols;
-    const int64_t panels = ceilDiv(n, P);
-    const int64_t block_floats = k * roundUp(n, kt.vector_floats);
     const int64_t grain =
         std::max<int64_t>(1, (1 << 16) / std::max<int64_t>(1, k * P));
-    support::parallelFor(0, blocks * panels, grain,
-                         [&](int64_t lo, int64_t hi) {
-        for (int64_t u = lo; u < hi; ++u) {
-            const int64_t j = u / panels;
-            const int64_t q = u % panels;
-            const int64_t cols = std::min(P, n - q * P);
-            const float* block = src.data + j * k * n;
-            kt.pack_panel(src.transposed ? block + q * P * src.ld
-                                         : block + q * P,
-                          src.ld, src.transposed, k, cols,
-                          dst + j * block_floats + q * k * P);
+    support::parallelFor(0, ceilDiv(n, P), grain, [&](int64_t lo, int64_t hi) {
+        for (int64_t q = lo; q < hi; ++q) {
+            kt.pack_panel(src + q * P, ld, false, k, std::min(P, n - q * P),
+                          dst + q * k * P);
         }
     });
 }
@@ -678,55 +674,54 @@ gemm(Operand a, Operand b, float* c, int64_t m, int64_t k, int64_t n,
     const kernels::KernelTable& kt = kernels::kernels();
     const int64_t P = kt.panel_cols;
     const int64_t V = kt.vector_floats;
-    const int64_t R = kt.tile_rows;
     const int64_t panels = ceilDiv(n, P);
 
-    const int64_t b_block = k * roundUp(n, V);
-    alloc::Scratch b_panels(batch.b_count * b_block);
-    packPanels(kt, b, batch.b_count, k, n, b_panels.data());
-    // A transposed A (g^T in the weight gradient) is packed as the [k, m]
-    // matrix A^T, so the k-th values of a row tile sit side by side rather
-    // than `ld` floats apart; a row tile never straddles two of its panels.
+    // A transposed A (g^T in the weight gradient) is packed once, as the
+    // [k, m] matrix A^T, so the k-th values of a row tile sit side by side
+    // rather than `ld` floats apart; a row tile never straddles two of its
+    // panels.
     std::optional<alloc::Scratch> a_panels;
     if (a.transposed) {
         SLAPO_ASSERT(entries == 1, "gemm: a transposed A is never batched");
         a_panels.emplace(k * roundUp(m, V));
-        packPanels(kt, Operand{a.data, a.ld}, 1, k, m, a_panels->data());
+        packPanels(kt, a.data, a.ld, k, m, a_panels->data());
     }
 
-    const int64_t row_tiles = ceilDiv(m, R);
-    const int64_t tiles_per_a_panel = P / R;
-    const int64_t unit_flops = 2 * R * P * std::max<int64_t>(1, k);
-    support::parallelFor(0, entries * panels * row_tiles,
-                         std::max<int64_t>(1, (1 << 18) / unit_flops),
+    const int64_t panel_flops = 2 * m * P * std::max<int64_t>(1, k);
+    support::parallelFor(0, entries * panels,
+                         std::max<int64_t>(1, kGemmChunkFlops / panel_flops),
                          [&](int64_t lo, int64_t hi) {
+        alloc::Scratch panel(k * std::min(P, roundUp(n, V)));
         kernels::PanelGemm g{};
+        g.panel = panel.data();
         g.k = k;
         g.c_row_stride = n;
-        for (int64_t u = lo; u < hi;) {
-            const int64_t e = u / (panels * row_tiles);
-            const int64_t q = u / row_tiles % panels;
-            const int64_t t0 = u % row_tiles;
-            int64_t t1 = std::min(row_tiles, t0 + (hi - u));
-            const int64_t i0 = t0 * R;
-            if (a_panels) {
-                const int64_t qa = t0 / tiles_per_a_panel;
-                t1 = std::min(t1, (qa + 1) * tiles_per_a_panel);
-                g.a = a_panels->data() + qa * k * P + (i0 - qa * P);
-                g.a_row_stride = 1;
-                g.a_col_stride = roundUp(std::min(P, m - qa * P), V);
-            } else {
-                g.a = a.data + batch.a_offsets[e] + i0 * a.ld;
+        for (int64_t u = lo; u < hi; ++u) {
+            const int64_t e = u / panels;
+            const int64_t q = u % panels;
+            const float* block = b.data + batch.b_blocks[e] * k * n;
+            g.cols = std::min(P, n - q * P);
+            kt.pack_panel(b.transposed ? block + q * P * b.ld : block + q * P,
+                          b.ld, b.transposed, k, g.cols, panel.data());
+            g.bias = bias != nullptr ? bias + q * P : nullptr;
+            float* c_panel = c + e * m * n + q * P;
+            if (!a_panels) {
+                g.a = a.data + batch.a_offsets[e];
                 g.a_row_stride = a.ld;
                 g.a_col_stride = 1;
+                g.c = c_panel;
+                g.rows = m;
+                kt.gemm_panel(g);
+                continue;
             }
-            g.panel = b_panels.data() + batch.b_blocks[e] * b_block + q * k * P;
-            g.cols = std::min(P, n - q * P);
-            g.c = c + e * m * n + i0 * n + q * P;
-            g.rows = std::min(m, t1 * R) - i0;
-            g.bias = bias != nullptr ? bias + q * P : nullptr;
-            kt.gemm_panel(g);
-            u += t1 - t0;
+            for (int64_t i0 = 0; i0 < m; i0 += P) {
+                g.rows = std::min(P, m - i0);
+                g.a = a_panels->data() + i0 * k;
+                g.a_row_stride = 1;
+                g.a_col_stride = roundUp(g.rows, V);
+                g.c = c_panel + i0 * n;
+                kt.gemm_panel(g);
+            }
         }
     });
 }
@@ -793,7 +788,7 @@ matmul(const Tensor& a, const Tensor& b)
         b_blocks[bi] = off_b;
     }
     gemm({a.data(), k}, {b.data(), n}, out.data(), m, k, n, nullptr,
-         {a_offsets, b_blocks, numelOf(batch_b)});
+         {a_offsets, b_blocks});
     return out;
 }
 
@@ -1327,12 +1322,16 @@ crossEntropyBackward(const Tensor& logits, const Tensor& targets)
 {
     const int64_t vocab = logits.size(-1);
     const int64_t rows = logits.numel() / vocab;
+    SLAPO_CHECK(targets.numel() == rows,
+                "crossEntropyBackward: target count mismatch");
     Tensor grad = softmax(logits);
     float* pg = grad.data();
     const float* pt = targets.data();
     const float inv = 1.0f / static_cast<float>(rows);
     for (int64_t r = 0; r < rows; ++r) {
         const int64_t t = static_cast<int64_t>(pt[r]);
+        SLAPO_CHECK(t >= 0 && t < vocab,
+                    "crossEntropyBackward: bad target " << t);
         pg[r * vocab + t] -= 1.0f;
     }
     for (int64_t i = 0; i < grad.numel(); ++i) {

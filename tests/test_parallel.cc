@@ -8,10 +8,15 @@
  */
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <deque>
+#include <limits>
+#include <random>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -211,88 +216,95 @@ TEST(ParallelDeterminism, Matmul)
     });
 }
 
-/** C = seed + A @ B by the definition: each element starts at its bias
- * (or +0) and adds the products A[i, kk] * B[kk, j] in ascending kk,
- * rounding each product (tests build for baseline x86-64: no FMA).
- * A[i, kk] = a[i * a_rs + kk * a_cs] and B[kk, j] = b[kk * b_rs + j * b_cs]. */
-Tensor
-naiveGemm(const float* a, int64_t a_rs, int64_t a_cs, const float* b,
-          int64_t b_rs, int64_t b_cs, int64_t m, int64_t k, int64_t n,
-          const float* bias)
+/** One GEMM by its definition: C = seed + A @ B, the seed being the bias
+ * or +0, A[i, kk] = a[i * a_rs + kk * a_cs] and
+ * B[kk, j] = b[kk * b_rs + j * b_cs]. */
+struct GemmDefinition
 {
-    Tensor c = Tensor::zeros({m, n});
+    const float* a;
+    int64_t a_rs, a_cs;
+    const float* b;
+    int64_t b_rs, b_cs;
+    int64_t m, k, n;
+    const float* bias;
+
+    float aAt(int64_t i, int64_t kk) const { return a[i * a_rs + kk * a_cs]; }
+    float bAt(int64_t kk, int64_t j) const { return b[kk * b_rs + j * b_cs]; }
+    float seedAt(int64_t j) const { return bias != nullptr ? bias[j] : 0.0f; }
+};
+
+/** Each element starts at its seed and takes one fused multiply-add per
+ * product A[i, kk] * B[kk, j], kk ascending: the bits the GEMM kernels
+ * promise. */
+Tensor
+naiveGemm(const GemmDefinition& d)
+{
+    Tensor c = Tensor::zeros({d.m, d.n});
     float* pc = c.data();
-    for (int64_t i = 0; i < m; ++i) {
-        for (int64_t j = 0; j < n; ++j) {
-            float acc = bias != nullptr ? bias[j] : 0.0f;
-            for (int64_t kk = 0; kk < k; ++kk) {
-                acc += a[i * a_rs + kk * a_cs] * b[kk * b_rs + j * b_cs];
+    for (int64_t i = 0; i < d.m; ++i) {
+        for (int64_t j = 0; j < d.n; ++j) {
+            float acc = d.seedAt(j);
+            for (int64_t kk = 0; kk < d.k; ++kk) {
+                acc = std::fma(d.aAt(i, kk), d.bAt(kk, j), acc);
             }
-            pc[i * n + j] = acc;
+            pc[i * d.n + j] = acc;
         }
     }
     return c;
 }
 
-TEST(ParallelDeterminism, GemmsMatchNaiveReferenceBitForBit)
+/**
+ * matmul, linear with and without bias, and both linearBackward GEMMs over
+ * a sweep of shapes. n straddles the panel widths of all paths (16, 24 and
+ * 32 columns) and m their 4- and 8-row tiles; every (m, n) pair runs, with
+ * k cycling through 0, 1, 17 and 256 so each k meets each m and n.
+ */
+class GemmSweep
 {
-    // matmul, linear with and without bias, and both linearBackward GEMMs
-    // against the definition, byte for byte, on every ISA path at 1/2/7
-    // threads. n straddles the panel widths of all paths (32, 24 and 64
-    // columns) and m their 2- and 4-row tiles; every (m, n) pair runs,
-    // with k cycling through 0, 1, 17 and 256 so each k meets each m and n.
-    const int64_t ms[] = {1, 3, 4, 5, 64, 65, 130};
-    const int64_t ks[] = {0, 1, 17, 256};
-    const int64_t ns[] = {1, 15, 16, 17, 63, 64, 65, 130, 1030};
-    struct Case
+  public:
+    GemmSweep()
     {
-        Tensor x, w, bias, g, b;
-    };
-    std::vector<Case> cases;
-    std::vector<Tensor> expected;
-    uint64_t seed = 100;
-    for (size_t mi = 0; mi < std::size(ms); ++mi) {
-        for (size_t ni = 0; ni < std::size(ns); ++ni) {
-            const int64_t m = ms[mi];
-            const int64_t k = ks[(mi + ni) % std::size(ks)];
-            const int64_t n = ns[ni];
-            Case c{Tensor::uniform({m, k}, 1.0f, seed++),
-                   Tensor::uniform({n, k}, 1.0f, seed++),
-                   Tensor::uniform({n}, 1.0f, seed++),
-                   Tensor::uniform({m, n}, 1.0f, seed++),
-                   Tensor::uniform({k, n}, 1.0f, seed++)};
-            const float* x = c.x.data();
-            const float* w = c.w.data();
-            const float* g = c.g.data();
-            expected.push_back(
-                naiveGemm(x, k, 1, c.b.data(), n, 1, m, k, n, nullptr));
-            expected.push_back(
-                naiveGemm(x, k, 1, w, 1, k, m, k, n, c.bias.data()));
-            expected.push_back(naiveGemm(x, k, 1, w, 1, k, m, k, n, nullptr));
-            expected.push_back(naiveGemm(g, n, 1, w, k, 1, m, n, k, nullptr));
-            expected.push_back(naiveGemm(g, 1, n, x, k, 1, n, m, k, nullptr));
-            cases.push_back(std::move(c));
+        const int64_t ms[] = {1, 3, 4, 5, 64, 65, 130};
+        const int64_t ks[] = {0, 1, 17, 256};
+        const int64_t ns[] = {1, 15, 16, 17, 63, 64, 65, 130, 1030};
+        uint64_t seed = 100;
+        for (size_t mi = 0; mi < std::size(ms); ++mi) {
+            for (size_t ni = 0; ni < std::size(ns); ++ni) {
+                const int64_t m = ms[mi];
+                const int64_t k = ks[(mi + ni) % std::size(ks)];
+                const int64_t n = ns[ni];
+                cases_.push_back({Tensor::uniform({m, k}, 1.0f, seed++),
+                                  Tensor::uniform({n, k}, 1.0f, seed++),
+                                  Tensor::uniform({n}, 1.0f, seed++),
+                                  Tensor::uniform({m, n}, 1.0f, seed++),
+                                  Tensor::uniform({k, n}, 1.0f, seed++)});
+                const Case& c = cases_.back();
+                const float* x = c.x.data();
+                const float* w = c.w.data();
+                const float* g = c.g.data();
+                definitions_.push_back(
+                    {x, k, 1, c.b.data(), n, 1, m, k, n, nullptr});
+                definitions_.push_back(
+                    {x, k, 1, w, 1, k, m, k, n, c.bias.data()});
+                definitions_.push_back({x, k, 1, w, 1, k, m, k, n, nullptr});
+                definitions_.push_back({g, n, 1, w, k, 1, m, n, k, nullptr});
+                definitions_.push_back({g, 1, n, x, k, 1, n, m, k, nullptr});
+            }
         }
     }
-    // Batched, broadcast on both sides: [2, 1] x [3] batch entries.
-    const Tensor ba = Tensor::uniform({2, 1, 5, 17}, 1.0f, seed++);
-    const Tensor bb = Tensor::uniform({3, 17, 65}, 1.0f, seed++);
-    Tensor batched = Tensor::zeros({2, 3, 5, 65});
-    for (int64_t i = 0; i < 2; ++i) {
-        for (int64_t j = 0; j < 3; ++j) {
-            const Tensor entry =
-                naiveGemm(ba.data() + i * 5 * 17, 17, 1,
-                          bb.data() + j * 17 * 65, 65, 1, 5, 17, 65, nullptr);
-            std::memcpy(batched.data() + (i * 3 + j) * 5 * 65, entry.data(),
-                        5 * 65 * sizeof(float));
-        }
-    }
-    expected.push_back(batched);
 
-    const Tensor no_bias = Tensor::zeros({0});
-    auto run = [&] {
+    /** The GEMMs in run() order. */
+    const std::vector<GemmDefinition>& definitions() const
+    {
+        return definitions_;
+    }
+
+    /** The ops outputs, five per case, in definitions() order. */
+    std::vector<Tensor> run() const
+    {
+        const Tensor no_bias = Tensor::zeros({0});
         std::vector<Tensor> out;
-        for (const Case& c : cases) {
+        for (const Case& c : cases_) {
             out.push_back(ops::matmul(c.x, c.b));
             out.push_back(ops::linear(c.x, c.w, c.bias));
             out.push_back(ops::linear(c.x, c.w, no_bias));
@@ -300,10 +312,50 @@ TEST(ParallelDeterminism, GemmsMatchNaiveReferenceBitForBit)
             out.push_back(grads.grad_x);
             out.push_back(grads.grad_weight);
         }
+        return out;
+    }
+
+  private:
+    struct Case
+    {
+        Tensor x, w, bias, g, b;
+    };
+    // A deque keeps each Case where it is, so the definitions' pointers
+    // into its tensors stay valid.
+    std::deque<Case> cases_;
+    std::vector<GemmDefinition> definitions_;
+};
+
+TEST(ParallelDeterminism, GemmsMatchNaiveReferenceBitForBit)
+{
+    // Every GEMM of the sweep, plus a broadcast batched matmul, against
+    // the definition, byte for byte, on every ISA path at 1/2/7 threads.
+    const GemmSweep sweep;
+    std::vector<Tensor> expected;
+    for (const GemmDefinition& d : sweep.definitions()) {
+        expected.push_back(naiveGemm(d));
+    }
+    // Batched, broadcast on both sides: [2, 1] x [3] batch entries.
+    const Tensor ba = Tensor::uniform({2, 1, 5, 17}, 1.0f, 1000);
+    const Tensor bb = Tensor::uniform({3, 17, 65}, 1.0f, 1001);
+    Tensor batched = Tensor::zeros({2, 3, 5, 65});
+    for (int64_t i = 0; i < 2; ++i) {
+        for (int64_t j = 0; j < 3; ++j) {
+            const Tensor entry =
+                naiveGemm({ba.data() + i * 5 * 17, 17, 1,
+                           bb.data() + j * 17 * 65, 65, 1, 5, 17, 65, nullptr});
+            std::memcpy(batched.data() + (i * 3 + j) * 5 * 65, entry.data(),
+                        5 * 65 * sizeof(float));
+        }
+    }
+    expected.push_back(batched);
+
+    auto run = [&] {
+        std::vector<Tensor> out = sweep.run();
         out.push_back(ops::matmul(ba, bb));
         return out;
     };
-    // Every path equals the default one (expectBitIdentical); the default
+    // Every path equals the baseline one (expectBitIdentical); the default
     // one equals the definition.
     expectBitIdentical(run);
     const std::vector<Tensor> got = run();
@@ -314,6 +366,152 @@ TEST(ParallelDeterminism, GemmsMatchNaiveReferenceBitForBit)
             << ") differs from the naive loop by up to "
             << maxAbsDiff(got[i], expected[i]);
     }
+}
+
+TEST(ParallelDeterminism, GemmsWithinFmaBoundOfLongDoubleReference)
+{
+    // The accuracy bound of a chain of k fused multiply-adds from a seed:
+    // |c_hat - c| <= gamma_k * (|seed| + sum |a_i * b_i|), with
+    // gamma_k = k u / (1 - k u) and u = 2^-24, against a long double
+    // reference (float products are exact in it), on every ISA path.
+    const GemmSweep sweep;
+    const long double u = std::ldexp(1.0L, -24);
+    IsaGuard isa_guard;
+    for (kernels::Isa isa : availableIsas()) {
+        kernels::setIsaForTesting(isa);
+        const std::vector<Tensor> got = sweep.run();
+        ASSERT_EQ(got.size(), sweep.definitions().size());
+        long double worst = 0.0L; // largest error over its bound
+        for (size_t g = 0; g < got.size(); ++g) {
+            const GemmDefinition& d = sweep.definitions()[g];
+            ASSERT_EQ(got[g].shape(), (Shape{d.m, d.n}));
+            const float* pc = got[g].data();
+            const long double gamma = d.k * u / (1.0L - d.k * u);
+            for (int64_t i = 0; i < d.m; ++i) {
+                for (int64_t j = 0; j < d.n; ++j) {
+                    long double exact = d.seedAt(j);
+                    long double magnitude = std::fabs(exact);
+                    for (int64_t kk = 0; kk < d.k; ++kk) {
+                        const long double p =
+                            static_cast<long double>(d.aAt(i, kk)) *
+                            d.bAt(kk, j);
+                        exact += p;
+                        magnitude += std::fabs(p);
+                    }
+                    const long double error =
+                        std::fabs(pc[i * d.n + j] - exact);
+                    ASSERT_LE(error, gamma * magnitude)
+                        << kernels::isaName(isa) << ", GEMM " << g
+                        << " at (" << i << ", " << j << "), k = " << d.k;
+                    if (gamma > 0.0L) {
+                        worst = std::max(worst, error / (gamma * magnitude));
+                    }
+                }
+            }
+        }
+        std::printf("%s: largest error %.3Lg of the bound\n",
+                    kernels::isaName(isa), worst);
+    }
+}
+
+/** Compare linear with in_features 1, out[i][j] = fmaf(x[i], w[j], b[j]),
+ * with std::fmaf byte for byte; returns the number of mismatches. */
+int64_t
+countFmaMismatches(const std::vector<float>& x, const std::vector<float>& w,
+                   const std::vector<float>& bias)
+{
+    const int64_t rows = static_cast<int64_t>(x.size());
+    const int64_t cols = static_cast<int64_t>(w.size());
+    const Tensor y = ops::linear(Tensor::fromValues({rows, 1}, x),
+                                 Tensor::fromValues({cols, 1}, w),
+                                 Tensor::fromValues({cols}, bias));
+    int64_t mismatches = 0;
+    for (int64_t i = 0; i < rows; ++i) {
+        for (int64_t j = 0; j < cols; ++j) {
+            const float want = std::fmaf(x[i], w[j], bias[j]);
+            const float got = y.data()[i * cols + j];
+            if (std::bit_cast<uint32_t>(got) != std::bit_cast<uint32_t>(want)) {
+                if (++mismatches <= 3) {
+                    ADD_FAILURE() << std::hexfloat << "fmaf(" << x[i] << ", "
+                                  << w[j] << ", " << bias[j] << ") = " << want
+                                  << ", got " << got;
+                }
+            }
+        }
+    }
+    return mismatches;
+}
+
+TEST(IsaDispatch, BaselineFmaEmulationMatchesFmaf)
+{
+    // The baseline path has no fused multiply-add instruction and emulates
+    // one in double (kernels_body.h, fmaEmulated). A GEMM with k = 1 and a
+    // bias is exactly one fmaf per output.
+    IsaGuard isa_guard;
+    kernels::setIsaForTesting(kernels::Isa::X86_64);
+
+    // Double rounding: a * b = 1 + 2^-11 + 2^-24 is a float midpoint, and
+    // c = +-2^-60 decides the side, but a * b + c rounds back to the
+    // midpoint in double. Scaled by 2^e, e in [-30, 30]; the rows and
+    // columns of different e are further cases.
+    const float near_one = 1.0f + std::ldexp(1.0f, -12);
+    std::vector<float> x, w, bias;
+    for (int e = -30; e <= 30; ++e) {
+        x.push_back(std::ldexp(near_one, e));
+        for (float sign : {1.0f, -1.0f}) {
+            w.push_back(near_one);
+            bias.push_back(sign * std::ldexp(1.0f, e - 60));
+        }
+    }
+    EXPECT_EQ(countFmaMismatches(x, w, bias), 0) << "double-rounding cases";
+
+    // Random operands over a wide range of exponents, and tiny ones whose
+    // products and sums fall in the float subnormal range.
+    std::mt19937 rng(7);
+    auto randomFloat = [&](int lo_exp, int hi_exp) {
+        std::uniform_real_distribution<float> mantissa(1.0f, 2.0f);
+        std::uniform_int_distribution<int> exponent(lo_exp, hi_exp);
+        const float sign = rng() % 2 == 0 ? 1.0f : -1.0f;
+        return sign * std::ldexp(mantissa(rng), exponent(rng));
+    };
+    for (auto [lo, hi, bias_lo, bias_hi] :
+         {std::array{-20, 20, -40, 40}, std::array{-76, -60, -150, -120}}) {
+        x.assign(64, 0.0f);
+        w.assign(64, 0.0f);
+        bias.assign(64, 0.0f);
+        for (int i = 0; i < 64; ++i) {
+            x[i] = randomFloat(lo, hi);
+            w[i] = randomFloat(lo, hi);
+            bias[i] = randomFloat(bias_lo, bias_hi);
+        }
+        EXPECT_EQ(countFmaMismatches(x, w, bias), 0)
+            << "random operands, exponents " << lo << ".." << hi;
+    }
+
+    // Signed zeros: fma(-0, b, +0) = +0, fma(-0, b, -0) = -0 for b > 0.
+    EXPECT_EQ(countFmaMismatches({-0.0f, 0.0f}, {2.0f, -2.0f, 0.0f, -0.0f},
+                                 {0.0f, 0.0f, -0.0f, -0.0f}),
+              0)
+        << "signed zeros";
+
+    // Infinities and NaNs, at most one NaN operand per output: several
+    // NaN operands may give any one of their payloads.
+    const float inf = std::numeric_limits<float>::infinity();
+    // A quiet NaN with a payload.
+    const float nan = std::bit_cast<float>(0x7fc12345u);
+    EXPECT_EQ(countFmaMismatches({inf, -inf, 0.0f, 1.5f},
+                                 {inf, -inf, 0.0f, 2.0f},
+                                 {-inf, inf, 1.0f, -3.0f}),
+              0)
+        << "infinities";
+    EXPECT_EQ(countFmaMismatches({nan, -nan}, {1.5f, 0.0f, inf},
+                                 {2.0f, -1.0f, 3.0f}),
+              0)
+        << "NaN in x";
+    EXPECT_EQ(countFmaMismatches({1.5f, 0.0f, inf}, {nan}, {2.0f}), 0)
+        << "NaN in the weight";
+    EXPECT_EQ(countFmaMismatches({1.5f, 0.0f, inf}, {2.0f}, {nan}), 0)
+        << "NaN in the bias";
 }
 
 TEST(ParallelDeterminism, LinearForwardBackward)

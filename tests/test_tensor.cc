@@ -243,6 +243,23 @@ TEST(Ops, CrossEntropyOfUniformLogits)
     EXPECT_NEAR(loss.at(0), std::log(4.0f), 1e-5f);
 }
 
+TEST(Ops, CrossEntropyBackwardChecksTargets)
+{
+    // The backward indexes the gradient with each target, so it checks
+    // them as the forward does: one per row, each in [0, vocab).
+    const Tensor logits = Tensor::uniform({2, 4}, 1.0f, 1);
+    for (const Tensor& targets :
+         {Tensor::fromValues({2}, {0, 7}), Tensor::fromValues({2}, {0, 4}),
+          Tensor::fromValues({2}, {0, -1}), Tensor::fromValues({1}, {0}),
+          Tensor::fromValues({3}, {0, 1, 2})}) {
+        EXPECT_THROW(ops::crossEntropy(logits, targets), SlapoError);
+        EXPECT_THROW(ops::crossEntropyBackward(logits, targets), SlapoError);
+    }
+    const Tensor grad =
+        ops::crossEntropyBackward(logits, Tensor::fromValues({2}, {0, 3}));
+    EXPECT_EQ(grad.shape(), logits.shape());
+}
+
 TEST(Ops, RangeMaskAndClamp)
 {
     Tensor x = Tensor::fromValues({4}, {-1, 0, 2, 5});
