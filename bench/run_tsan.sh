@@ -26,7 +26,9 @@ fi
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD="${ROOT}/build-tsan"
 
-cmake -B "${BUILD}" -S "${ROOT}" -G Ninja \
+gen=()
+command -v ninja >/dev/null 2>&1 && gen=(-G Ninja)
+cmake -B "${BUILD}" -S "${ROOT}" "${gen[@]}" \
     -DSLAPO_SANITIZE=thread \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
 # Only the test executables: the benches and examples (and the smoke

@@ -1,15 +1,10 @@
 #include "nn/interpreter.h"
 
-#include <chrono>
-#include <optional>
-
 #include "graph/memplan.h"
 #include "nn/context.h"
 #include "nn/functional.h"
 #include "nn/module.h"
-#include "obs/mem_profiler.h"
-#include "obs/profiler.h"
-#include "obs/trace.h"
+#include "nn/tracer.h"
 #include "tensor/ops.h"
 
 namespace slapo {
@@ -17,55 +12,18 @@ namespace nn {
 
 namespace {
 
-/**
- * Per-node observability hook shared by the executor loops: opens a
- * trace span and, on close, folds the elapsed time into the installed
- * OpProfiler under the thread's current module path. Also tags the
- * thread for the memory profiler so tensors allocated inside the kernel
- * attribute to this node's id and stamped primitive. Disabled cost is
- * the three atomic loads in the constructor.
- */
-class NodeTimer
+const std::string kSyncPrimitive = "sync";
+
+std::vector<Shape>
+shapesOf(const std::vector<Value>& values)
 {
-  public:
-    NodeTimer(const char* op, const graph::Node& node)
-        : op_(op), primitive_(&node.provenance().primitive),
-          mem_scope_(node.id(), primitive_),
-          profiler_(obs::OpProfiler::current())
-    {
-        if (profiler_ != nullptr || obs::tracingEnabled()) {
-            span_.emplace(op_, "op");
-            span_->arg("node", node.name());
-            if (!obs::ModuleScope::currentPath().empty()) {
-                span_->arg("module", obs::ModuleScope::currentPath());
-            }
-            if (!primitive_->empty()) {
-                span_->arg("primitive", *primitive_);
-            }
-            start_ = std::chrono::steady_clock::now();
-        }
+    std::vector<Shape> shapes;
+    shapes.reserve(values.size());
+    for (const Value& v : values) {
+        shapes.push_back(v.shape());
     }
-
-    ~NodeTimer()
-    {
-        if (profiler_ != nullptr) {
-            const int64_t ns =
-                std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    std::chrono::steady_clock::now() - start_)
-                    .count();
-            profiler_->record(op_, obs::ModuleScope::currentPath(),
-                              *primitive_, ns);
-        }
-    }
-
-  private:
-    const char* op_;
-    const std::string* primitive_; ///< node provenance; outlives the timer
-    obs::MemNodeScope mem_scope_;
-    obs::OpProfiler* profiler_;
-    std::optional<obs::TraceSpan> span_;
-    std::chrono::steady_clock::time_point start_;
-};
+    return shapes;
+}
 
 /**
  * Dispatch a planner-marked CallOp to its in-place kernel twin,
@@ -163,53 +121,141 @@ interpretOp(const graph::Node& node, const std::vector<Value>& in)
     SLAPO_THROW("interpretOp: unhandled op " << opKindName(node.op()));
 }
 
+const graph::Graph&
+GraphCache::graphFor(Module& module, const std::vector<Value>& inputs)
+{
+    if (module.meta().traced_graph) {
+        return *module.meta().traced_graph;
+    }
+    const std::vector<Shape> shapes = shapesOf(inputs);
+    auto& by_shapes = graphs_[&module];
+    auto it = by_shapes.find(shapes);
+    if (it == by_shapes.end()) {
+        it = by_shapes.emplace(shapes, traceModule(module, shapes)).first;
+    }
+    return *it->second;
+}
+
+Frame::Frame(const graph::Graph& g, GraphCache* graph_cache,
+             int64_t* stored_activation_bytes)
+    : graph(&g),
+      graphs(graph_cache),
+      stored_bytes(stored_activation_bytes),
+      env(g.idBound())
+{
+}
+
+bool
+Frame::has(const graph::Node* n) const
+{
+    return n->id() >= 0 && n->id() < static_cast<int64_t>(env.size()) &&
+           !env[n->id()].empty();
+}
+
+const std::vector<Value>&
+Frame::at(const graph::Node* n) const
+{
+    SLAPO_ASSERT(has(n), "interpret: undefined node " << n->name());
+    return env[n->id()];
+}
+
+void
+Frame::put(const graph::Node* n, std::vector<Value> values)
+{
+    SLAPO_ASSERT(n->id() >= 0 && n->id() < static_cast<int64_t>(env.size()),
+                 "interpret: node id out of range for " << n->name());
+    env[n->id()] = std::move(values);
+}
+
+void
+Frame::evict(const graph::Node* n)
+{
+    if (has(n)) {
+        env[n->id()].clear();
+    }
+}
+
+NodeTimer::NodeTimer(const char* op, const graph::Node& node,
+                     const char* suffix)
+    : NodeTimer(op, suffix, node.provenance().primitive, &node)
+{
+}
+
+NodeTimer::NodeTimer(Sync sync)
+    : NodeTimer("sync", sync.suffix, kSyncPrimitive, nullptr)
+{
+}
+
+NodeTimer::NodeTimer(const char* op, const char* suffix,
+                     const std::string& primitive, const graph::Node* node)
+    : primitive_(&primitive), profiler_(obs::OpProfiler::current())
+{
+    if (node != nullptr) {
+        mem_scope_.emplace(node->id(), primitive_);
+    }
+    if (profiler_ != nullptr || obs::tracingEnabled()) {
+        name_ = op;
+        name_ += suffix;
+        span_.emplace(name_, "op");
+        if (node != nullptr) {
+            span_->arg("node", node->name());
+        }
+        if (!obs::ModuleScope::currentPath().empty()) {
+            span_->arg("module", obs::ModuleScope::currentPath());
+        }
+        if (!primitive_->empty()) {
+            span_->arg("primitive", *primitive_);
+        }
+        start_ = std::chrono::steady_clock::now();
+    }
+}
+
+NodeTimer::~NodeTimer()
+{
+    if (profiler_ != nullptr) {
+        const int64_t ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                               std::chrono::steady_clock::now() - start_)
+                               .count();
+        profiler_->record(name_, obs::ModuleScope::currentPath(), *primitive_,
+                          ns);
+    }
+}
+
 std::vector<Value>
-interpretGraph(const graph::Graph& graph, Module* self,
-               const std::vector<Value>& inputs)
+interpretGraph(const graph::Graph& graph, const std::vector<Value>& inputs,
+               Frame* frame)
 {
     SLAPO_CHECK(TracingState::current() == nullptr,
                 "cannot interpret a traced graph while tracing; re-trace the "
                 "module instead of nesting");
-    // Dense per-node-id environment: node ids are graph-unique and bounded
-    // by idBound(), so a flat vector replaces the former std::map (one
-    // indexed load per use instead of a tree walk on the hot loop).
-    std::vector<std::vector<Value>> env(graph.idBound());
-    std::vector<char> defined(graph.idBound(), 0);
-    auto put = [&](const graph::Node* n, std::vector<Value> values) {
-        SLAPO_ASSERT(n->id() >= 0 &&
-                         n->id() < static_cast<int64_t>(env.size()),
-                     "interpret: node id out of range for " << n->name());
-        env[n->id()] = std::move(values);
-        defined[n->id()] = 1;
-    };
+    SLAPO_ASSERT(frame == nullptr || frame->graph == &graph,
+                 "interpret: frame was built for another graph");
+    // An eval run keeps its values in a frame of its own.
+    std::optional<Frame> own;
+    if (frame == nullptr) {
+        own.emplace(graph);
+    }
+    Frame& env = frame != nullptr ? *frame : *own;
+    const bool recording = env.recording();
 
     const auto placeholders = graph.placeholders();
     SLAPO_CHECK(placeholders.size() == inputs.size(),
                 "graph expects " << placeholders.size() << " inputs, got "
                                  << inputs.size());
     for (size_t i = 0; i < placeholders.size(); ++i) {
-        put(placeholders[i], {inputs[i]});
+        env.put(placeholders[i], {inputs[i]});
     }
 
     auto first = [&](const graph::Node* n) -> const Value& {
-        SLAPO_ASSERT(n->id() >= 0 &&
-                         n->id() < static_cast<int64_t>(env.size()) &&
-                         defined[n->id()],
-                     "interpret: undefined node " << n->name());
-        return env[n->id()][0];
+        return env.at(n)[0];
     };
 
     // Memory plan: per-node env releases at last use plus in-place
     // rewrites (graph/memplan.h). Cached in the graph, keyed by the
-    // runtime input shapes.
+    // runtime input shapes. A recording run keeps every value instead.
     std::shared_ptr<const graph::MemPlan> plan;
-    if (graph::memPlanEnabled()) {
-        std::vector<Shape> in_shapes;
-        in_shapes.reserve(inputs.size());
-        for (const Value& v : inputs) {
-            in_shapes.push_back(v.shape());
-        }
-        plan = graph::memPlanFor(graph, in_shapes);
+    if (!recording && graph::memPlanEnabled()) {
+        plan = graph::memPlanFor(graph, shapesOf(inputs));
         if (plan != nullptr && obs::tracingEnabled()) {
             obs::TraceSpan span("memplan.plan", "mem");
             span.arg("release_points", plan->release_count);
@@ -228,7 +274,8 @@ interpretGraph(const graph::Graph& graph, Module* self,
           case graph::NodeKind::GetParam: {
             SLAPO_ASSERT(node->module() != nullptr,
                          "get_param without module binding");
-            put(node, {Value(node->module()->paramTensor(node->target()))});
+            env.put(node,
+                    {Value(node->module()->paramTensor(node->target()))});
             break;
           }
           case graph::NodeKind::CallOp: {
@@ -260,11 +307,10 @@ interpretGraph(const graph::Graph& graph, Module* self,
             bool executed = false;
             if (act != nullptr && act->inplace) {
                 graph::Node* src = node->inputs()[0];
-                SLAPO_ASSERT(defined[src->id()],
+                SLAPO_ASSERT(env.has(src),
                              "interpret: undefined node " << src->name());
-                Value moved = std::move(env[src->id()][0]);
-                env[src->id()].clear();
-                defined[src->id()] = 0;
+                Value moved = std::move(env.env[src->id()][0]);
+                env.evict(src);
 
                 Tensor& t = moved.tensor();
                 const Tensor* second = nullptr;
@@ -276,7 +322,7 @@ interpretGraph(const graph::Graph& graph, Module* self,
                     second = &b;
                 }
                 if (ok && runOpInPlace(*node, t, second)) {
-                    put(node, {std::move(moved)});
+                    env.put(node, {std::move(moved)});
                     executed = true;
                 } else {
                     std::vector<Value> ins;
@@ -285,7 +331,7 @@ interpretGraph(const graph::Graph& graph, Module* self,
                     for (size_t i = 1; i < node->inputs().size(); ++i) {
                         ins.push_back(first(node->inputs()[i]));
                     }
-                    put(node, {interpretOp(*node, ins)});
+                    env.put(node, {interpretOp(*node, ins)});
                     executed = true;
                 }
             }
@@ -295,7 +341,11 @@ interpretGraph(const graph::Graph& graph, Module* self,
                 for (graph::Node* in : node->inputs()) {
                     ins.push_back(first(in));
                 }
-                put(node, {interpretOp(*node, ins)});
+                Value out = interpretOp(*node, ins);
+                if (env.stored_bytes != nullptr && !node->checkpointed()) {
+                    *env.stored_bytes += out.tensor().bytes();
+                }
+                env.put(node, {std::move(out)});
             }
             if (ckpt_scope) {
                 prof->endModule();
@@ -309,19 +359,33 @@ interpretGraph(const graph::Graph& graph, Module* self,
             for (graph::Node* in : node->inputs()) {
                 ins.push_back(first(in));
             }
+            // Recording: the child runs its cached graph into a frame of
+            // its own, which a checkpointed child does not keep.
+            std::unique_ptr<Frame> child;
+            const bool checkpointed =
+                node->checkpointed() || target->meta().checkpointed;
+            if (recording) {
+                child = std::make_unique<Frame>(
+                    env.graphs->graphFor(*target, ins), env.graphs,
+                    checkpointed ? nullptr : env.stored_bytes);
+            }
             if (prof) prof->beginModule(node->target(), false);
             {
                 // Attribute everything the submodule runs to its dotted
-                // path; an untraced (leaf) module executes eagerly with
-                // no inner CallOp nodes, so time it as one record itself.
+                // path; a leaf module with no graph executes eagerly
+                // with no inner CallOp nodes, so time it as one record.
                 obs::ModuleScope scope(node->target());
                 std::optional<NodeTimer> timer;
-                if (target->meta().traced_graph == nullptr) {
+                if (child == nullptr &&
+                    target->meta().traced_graph == nullptr) {
                     timer.emplace(target->typeName().c_str(), *node);
                 }
-                put(node, target->call(ins));
+                env.put(node, target->call(ins, child.get()));
             }
             if (prof) prof->endModule();
+            if (child != nullptr && !checkpointed) {
+                env.children[node] = std::move(child);
+            }
             break;
           }
           case graph::NodeKind::FusedOp: {
@@ -330,33 +394,49 @@ interpretGraph(const graph::Graph& graph, Module* self,
             for (graph::Node* in : node->inputs()) {
                 ins.push_back(first(in));
             }
+            std::unique_ptr<Frame> sub;
+            if (recording) {
+                sub = std::make_unique<Frame>(*node->subgraph(), env.graphs,
+                                              env.stored_bytes);
+            }
             // A fused kernel is one launch: collapse its inner ops into a
             // single profiler record, then run the encapsulated subgraph.
             if (prof) {
                 prof->beginKernelScope(node->name(), /*recompute_free=*/true);
             }
             std::vector<Value> outs =
-                interpretGraph(*node->subgraph(), self, ins);
+                interpretGraph(*node->subgraph(), ins, sub.get());
             if (prof) prof->endKernelScope();
-            put(node, std::move(outs));
+            if (sub != nullptr) {
+                env.children[node] = std::move(sub);
+            }
+            env.put(node, std::move(outs));
             break;
           }
           case graph::NodeKind::TupleGet: {
-            const graph::Node* src = node->inputs()[0];
-            SLAPO_ASSERT(defined[src->id()],
-                         "interpret: undefined node " << src->name());
-            const auto& producer = env[src->id()];
+            const auto& producer = env.at(node->inputs()[0]);
             const int64_t index = node->attrInt("index");
             SLAPO_ASSERT(index >= 0 &&
                              index < static_cast<int64_t>(producer.size()),
                          "tuple_get index out of range");
-            put(node, {producer[index]});
+            env.put(node, {producer[index]});
             break;
           }
           case graph::NodeKind::Output: {
             std::vector<Value> outs;
             for (graph::Node* in : node->inputs()) {
                 outs.push_back(first(in));
+            }
+            if (recording) {
+                // .checkpoint(subgraph): evict the flagged activations
+                // now that the forward is done; backward rematerializes
+                // them lazily from their (retained) region inputs.
+                for (graph::Node* n : graph.nodes()) {
+                    if (n->kind() == graph::NodeKind::CallOp &&
+                        n->checkpointed() && !graph.usersOf(n).empty()) {
+                        env.evict(n);
+                    }
+                }
             }
             return outs;
           }
@@ -370,7 +450,7 @@ interpretGraph(const graph::Graph& graph, Module* self,
             if (obs::tracingEnabled()) {
                 int64_t bytes = 0;
                 for (int64_t id : act->release_after) {
-                    for (const Value& v : env[id]) {
+                    for (const Value& v : env.env[id]) {
                         if (v.tensor().materialized()) {
                             bytes += v.tensor().bytes();
                         }
@@ -383,8 +463,7 @@ interpretGraph(const graph::Graph& graph, Module* self,
                 span.arg("bytes", bytes);
             }
             for (int64_t id : act->release_after) {
-                env[id].clear();
-                defined[id] = 0;
+                env.env[id].clear();
             }
             if (obs::memProfilingEnabled() && obs::tracingEnabled()) {
                 obs::traceCounter("mem.live_bytes", obs::memLiveBytes());

@@ -624,6 +624,11 @@ VocabParallelLinear::VocabParallelLinear(int64_t in_features, int64_t vocab,
     if (bias) {
         meta().sharded_params["bias"] = spec;
     }
+    // Megatron's "f": each rank back-propagates only its vocab slice of
+    // the logits, so the replicated input's gradient is a partial sum.
+    SyncSpec input_grad;
+    input_grad.direction = SyncDirection::Backward;
+    meta().syncs.push_back(input_grad);
 }
 
 ModulePtr

@@ -348,7 +348,9 @@ class FusedBiasGelu : public Module
  * logits and narrows away the padding, so callers always see the
  * original vocabulary width. Works identically un-sharded (reference /
  * single-device runs) because the padded rows produce logits that are
- * sliced off.
+ * sliced off. Its backward all-reduces the input gradient (a
+ * `.sync(backward)` declared with the shard), since each rank's share
+ * covers only its slice of the vocabulary.
  */
 class VocabParallelLinear : public Module
 {

@@ -63,7 +63,7 @@ remapGraphModules(graph::Graph* g, const std::map<const Module*, Module*>& map)
 } // namespace
 
 std::vector<Value>
-Module::call(const std::vector<Value>& inputs)
+Module::call(const std::vector<Value>& inputs, Frame* frame)
 {
     Profiler* prof = Profiler::current();
     const bool profiling = prof != nullptr && TracingState::current() == nullptr;
@@ -81,7 +81,7 @@ Module::call(const std::vector<Value>& inputs)
     if (kernel_scope) {
         prof->beginKernelScope(type_name_, recomputeFree());
     }
-    std::vector<Value> outputs = runForward(inputs);
+    std::vector<Value> outputs = runForward(inputs, frame);
     if (kernel_scope) {
         prof->endKernelScope();
     }
@@ -103,13 +103,16 @@ Module::callOne(const std::vector<Value>& inputs)
 }
 
 std::vector<Value>
-Module::runForward(const std::vector<Value>& inputs)
+Module::runForward(const std::vector<Value>& inputs, Frame* frame)
 {
+    if (frame != nullptr) {
+        return interpretGraph(*frame->graph, inputs, frame);
+    }
     // A traced-and-scheduled graph *is* this module's execution strategy;
     // replay it. While tracing (symbolically re-capturing), always run the
     // original forward so the parent graph sees fresh nodes.
     if (meta_.traced_graph && TracingState::current() == nullptr) {
-        return interpretGraph(*meta_.traced_graph, this, inputs);
+        return interpretGraph(*meta_.traced_graph, inputs);
     }
     return forward(inputs);
 }
@@ -123,6 +126,14 @@ Module::applyForwardSyncs(std::vector<Value> outputs)
     SLAPO_CHECK(outputs.size() == 1,
                 typeName() << ": .sync() requires a single-output module");
     Profiler* prof = Profiler::current();
+    const bool tracing = TracingState::current() != nullptr;
+    // Time the boundary's collectives as their own row, so the step
+    // report can separate the cost of aggregation from the sharded
+    // compute it follows. While tracing they become graph nodes instead.
+    std::optional<NodeTimer> timer;
+    if (!tracing) {
+        timer.emplace(NodeTimer::Sync{});
+    }
     for (const SyncSpec& sync : meta_.syncs) {
         if (sync.direction == SyncDirection::Forward ||
             sync.direction == SyncDirection::Both) {
@@ -138,7 +149,7 @@ Module::applyForwardSyncs(std::vector<Value> outputs)
                 break;
             }
         }
-        if (prof && TracingState::current() == nullptr &&
+        if (prof && !tracing &&
             (sync.direction == SyncDirection::Backward ||
              sync.direction == SyncDirection::Both)) {
             // Account for the gradient aggregation the backward pass will

@@ -28,6 +28,7 @@ namespace nn {
 
 class Module;
 using ModulePtr = std::shared_ptr<Module>;
+struct Frame;
 
 /** How a `.sync()` aggregates partial results at a module boundary. */
 enum class SyncKind
@@ -110,8 +111,12 @@ class Module : public std::enable_shared_from_this<Module>
      * Execute with all scheduling applied: dispatches to the traced graph
      * if installed, wraps profiler/checkpoint scopes, applies forward
      * sync points. This is the only correct way to invoke a module.
+     *
+     * With a recording `frame` (the autograd engine's training forward),
+     * runs the frame's graph and records every value into it.
      */
-    std::vector<Value> call(const std::vector<Value>& inputs);
+    std::vector<Value> call(const std::vector<Value>& inputs,
+                            Frame* frame = nullptr);
 
     /** Convenience for single-output modules. */
     Value callOne(const std::vector<Value>& inputs);
@@ -217,7 +222,8 @@ class Module : public std::enable_shared_from_this<Module>
     void cloneInto(Module* dst) const;
 
   private:
-    std::vector<Value> runForward(const std::vector<Value>& inputs);
+    std::vector<Value> runForward(const std::vector<Value>& inputs,
+                                  Frame* frame);
     std::vector<Value> applyForwardSyncs(std::vector<Value> outputs);
 
     std::string type_name_;

@@ -23,11 +23,15 @@ traceModule(Module& module, const std::vector<Shape>& input_shapes,
         inputs.emplace_back(Tensor::meta(input_shapes[i]), ph);
     }
 
+    // Capture forward() itself: the module's own `.sync()` points stay
+    // out of its graph, since Module::call applies them at the call
+    // boundary whichever executor runs the graph. Inlined children go
+    // through Module::call, so their syncs do become graph nodes.
     TracingState state(g.get(), std::move(options));
     std::vector<Value> outputs;
     {
         TracingGuard guard(&state);
-        outputs = module.call(inputs);
+        outputs = module.forward(inputs);
     }
 
     graph::Node* out = g->createNode(graph::NodeKind::Output, "output");

@@ -27,7 +27,8 @@ namespace nn {
  * Symbolically execute `module.forward` on placeholder inputs of the
  * given shapes and return the captured graph. The caller typically
  * installs the result into module.meta().traced_graph (the `.trace()`
- * primitive does exactly that).
+ * primitive does exactly that). The module's own `.sync()` points are
+ * not in the graph: Module::call applies them around it.
  *
  * @throws SlapoError if `module` (or any module the options require
  *         inlining) is flagged untraceable.

@@ -3,12 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <functional>
-#include <optional>
 
 #include "graph/memplan.h"
 #include "nn/functional.h"
-#include "nn/interpreter.h"
-#include "nn/tracer.h"
 #include "obs/mem_profiler.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
@@ -28,156 +25,51 @@ using nn::SyncKind;
 using nn::SyncSpec;
 using nn::Value;
 
-/** Per-graph activation store kept between forward and backward. */
-struct AutogradEngine::Frame
-{
-    /** Whether stored tensors count toward the activation-bytes metric. */
-    bool counted = true;
-    /**
-     * Dense per-node-id activation store (indexed by Node::id, sized by
-     * Graph::idBound): one indexed load per access on the hot
-     * forward/backward loops instead of a std::map tree walk.
-     */
-    std::vector<std::vector<Tensor>> env;
-    std::vector<char> defined;
-    std::map<const Node*, std::unique_ptr<Frame>> children;
-
-    void
-    init(int64_t id_bound)
-    {
-        if (static_cast<int64_t>(env.size()) < id_bound) {
-            env.resize(id_bound);
-            defined.resize(id_bound, 0);
-        }
-    }
-
-    bool
-    has(const Node* n) const
-    {
-        return n->id() >= 0 &&
-               n->id() < static_cast<int64_t>(defined.size()) &&
-               defined[n->id()];
-    }
-
-    std::vector<Tensor>&
-    at(const Node* n)
-    {
-        SLAPO_ASSERT(has(n), "autograd: missing activation for " << n->name());
-        return env[n->id()];
-    }
-
-    void
-    put(const Node* n, std::vector<Tensor> values)
-    {
-        SLAPO_ASSERT(n->id() >= 0 &&
-                         n->id() < static_cast<int64_t>(env.size()),
-                     "autograd: node id out of range for " << n->name());
-        env[n->id()] = std::move(values);
-        defined[n->id()] = 1;
-    }
-
-    void
-    evict(const Node* n)
-    {
-        if (has(n)) {
-            env[n->id()].clear();
-            defined[n->id()] = 0;
-        }
-    }
-};
-
 namespace {
 
 /**
- * Per-node timing for the autograd loops: a trace span plus an
- * OpProfiler record under the thread's module-path scope. `suffix`
- * separates backward executions (".bwd") from forward ones in the
- * aggregate report. Disabled cost: two relaxed atomic loads.
+ * The backward half of a module's `.sync()` points: the conjugate of a
+ * forward all-reduce boundary is an all-reduce of the boundary's input
+ * gradient (Megatron f/g). Identity outside a multi-rank DistContext.
  */
-class OpTimer
-{
-  public:
-    OpTimer(const char* op, const char* suffix,
-            const std::string& primitive = std::string())
-        : profiler_(obs::OpProfiler::current())
-    {
-        if (profiler_ != nullptr || obs::tracingEnabled()) {
-            name_ = op;
-            name_ += suffix;
-            primitive_ = primitive;
-            span_.emplace(name_, "op");
-            if (!obs::ModuleScope::currentPath().empty()) {
-                span_->arg("module", obs::ModuleScope::currentPath());
-            }
-            if (!primitive_.empty()) {
-                span_->arg("primitive", primitive_);
-            }
-            start_ = std::chrono::steady_clock::now();
-        }
-    }
-
-    ~OpTimer()
-    {
-        if (profiler_ != nullptr) {
-            const int64_t ns =
-                std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    std::chrono::steady_clock::now() - start_)
-                    .count();
-            profiler_->record(name_, obs::ModuleScope::currentPath(),
-                              primitive_, ns);
-        }
-    }
-
-  private:
-    obs::OpProfiler* profiler_;
-    std::string name_;
-    std::string primitive_;
-    std::optional<obs::TraceSpan> span_;
-    std::chrono::steady_clock::time_point start_;
-};
-
-/** Numeric collective honoring the thread's DistContext (or identity). */
-Tensor
-applyCollective(SyncKind kind, int64_t axis, const Tensor& t)
-{
-    nn::DistContext* dc = nn::DistContext::current();
-    if (dc == nullptr || dc->world_size == 1) {
-        return t;
-    }
-    SLAPO_CHECK(dc->group != nullptr, "sync requires a live ProcessGroup");
-    switch (kind) {
-      case SyncKind::AllReduce: return dc->group->allReduce(dc->rank, t);
-      case SyncKind::AllGather: return dc->group->allGather(dc->rank, t, axis);
-      case SyncKind::ReduceScatter:
-        return dc->group->reduceScatter(dc->rank, t, axis);
-    }
-    SLAPO_THROW("bad sync kind");
-}
-
-Tensor
-applyForwardSyncs(const std::vector<SyncSpec>& syncs, Tensor t)
-{
-    for (const SyncSpec& sync : syncs) {
-        if (sync.direction == SyncDirection::Forward ||
-            sync.direction == SyncDirection::Both) {
-            t = applyCollective(sync.kind, sync.axis, t);
-        }
-    }
-    return t;
-}
-
 Tensor
 applyBackwardSyncs(const std::vector<SyncSpec>& syncs, Tensor grad)
 {
+    nn::DistContext* dc = nn::DistContext::current();
+    if (dc == nullptr || dc->world_size == 1) {
+        return grad;
+    }
+    SLAPO_CHECK(dc->group != nullptr, "sync requires a live ProcessGroup");
     for (const SyncSpec& sync : syncs) {
         if (sync.direction == SyncDirection::Backward ||
             sync.direction == SyncDirection::Both) {
-            // The conjugate of a forward all-reduce boundary is an
-            // all-reduce of the boundary's input gradient (Megatron f/g).
-            grad = applyCollective(SyncKind::AllReduce, -1, grad);
+            grad = dc->group->allReduce(dc->rank, grad);
         }
     }
     return grad;
+}
+
+/**
+ * The gradient through a forward collective on this rank, given the
+ * gradient `g` of its output: a gather's input gradient is this rank's
+ * slice, a reduce-scatter's the gathered slices. An all-reduce passes
+ * `g` through; the conjugate backward sync covers the other side.
+ */
+Tensor
+collectiveBackward(OpKind kind, int64_t axis, const Tensor& g)
+{
+    nn::DistContext* dc = nn::DistContext::current();
+    if (dc == nullptr || dc->world_size == 1 || kind == OpKind::AllReduce) {
+        return g.clone();
+    }
+    if (kind == OpKind::AllGather) {
+        const int64_t ax =
+            axis < 0 ? axis + static_cast<int64_t>(g.shape().size()) : axis;
+        const int64_t len = g.size(ax) / dc->world_size;
+        return ops::narrow(g, ax, dc->rank * len, len);
+    }
+    SLAPO_CHECK(dc->group, "reduce_scatter backward needs a group");
+    return dc->group->allGather(dc->rank, g, axis);
 }
 
 std::vector<int64_t>
@@ -295,26 +187,9 @@ opBackward(const Node& node, const std::vector<Tensor>& x, const Tensor& y,
       case OpKind::Identity:
         return {g.clone()};
       case OpKind::AllReduce:
-        // d(all_reduce)/dx is the identity per rank; the scheduler's
-        // conjugate sync point covers the reduction of the other side.
-        return {g.clone()};
-      case OpKind::AllGather: {
-        nn::DistContext* dc = nn::DistContext::current();
-        const int64_t axis = node.attrInt("axis");
-        const int64_t rank = dc ? dc->rank : 0;
-        const int64_t ax =
-            axis < 0 ? axis + static_cast<int64_t>(x[0].shape().size()) : axis;
-        const int64_t len = x[0].size(ax);
-        return {ops::narrow(g, ax, rank * len, len)};
-      }
-      case OpKind::ReduceScatter: {
-        nn::DistContext* dc = nn::DistContext::current();
-        if (dc == nullptr || dc->world_size == 1) {
-            return {g.clone()};
-        }
-        SLAPO_CHECK(dc->group, "reduce_scatter backward needs a group");
-        return {dc->group->allGather(dc->rank, g, node.attrInt("axis"))};
-      }
+      case OpKind::AllGather:
+      case OpKind::ReduceScatter:
+        return {collectiveBackward(node.op(), node.attrInt("axis"), g)};
       default:
         SLAPO_THROW("autograd: backward not implemented for op "
                     << opKindName(node.op())
@@ -324,141 +199,40 @@ opBackward(const Node& node, const std::vector<Tensor>& x, const Tensor& y,
 
 } // namespace
 
-std::shared_ptr<Graph>
-AutogradEngine::graphFor(Module& module, const std::vector<Shape>& shapes)
+std::vector<Tensor>
+AutogradEngine::backwardModule(Module& module, nn::Frame& frame,
+                               const std::vector<Tensor>& grad_outputs)
 {
-    if (module.meta().traced_graph) {
-        return module.meta().traced_graph;
+    // Undo the module's forward gathers and scatters, last applied
+    // first; a forward all-reduce's gradient passes through unchanged.
+    const std::vector<SyncSpec>& syncs = module.meta().syncs;
+    std::vector<Tensor> out_grads = grad_outputs;
+    for (auto it = syncs.rbegin(); it != syncs.rend(); ++it) {
+        if (it->direction != SyncDirection::Backward &&
+            it->kind != SyncKind::AllReduce) {
+            nn::NodeTimer sync_timer(nn::NodeTimer::Sync{".bwd"});
+            out_grads[0] = collectiveBackward(
+                it->kind == SyncKind::AllGather ? OpKind::AllGather
+                                                : OpKind::ReduceScatter,
+                it->axis, out_grads[0]);
+        }
     }
-    auto& by_shapes = graph_cache_[&module];
-    auto it = by_shapes.find(shapes);
-    if (it != by_shapes.end()) {
-        return it->second;
+    std::vector<Tensor> grads = backwardGraph(frame, out_grads);
+    if (!grads.empty() && !syncs.empty() && grads[0].materialized()) {
+        nn::NodeTimer sync_timer(nn::NodeTimer::Sync{".bwd"});
+        grads[0] = applyBackwardSyncs(syncs, grads[0]);
     }
-    auto g = traceModule(module, shapes);
-    by_shapes.emplace(shapes, g);
-    return g;
+    return grads;
 }
 
 std::vector<Tensor>
-AutogradEngine::forwardGraph(const Graph& g, Module* owner,
-                             const std::vector<Tensor>& inputs, Frame* frame)
-{
-    SLAPO_ASSERT(frame != nullptr, "forwardGraph: null frame");
-    frame->init(g.idBound());
-
-    const auto placeholders = g.placeholders();
-    SLAPO_CHECK(placeholders.size() == inputs.size(),
-                "autograd: graph expects " << placeholders.size()
-                                           << " inputs, got " << inputs.size());
-    for (size_t i = 0; i < placeholders.size(); ++i) {
-        frame->put(placeholders[i], {inputs[i]});
-    }
-
-    auto in_tensors = [&](const Node* n) {
-        std::vector<Tensor> ts;
-        for (const Node* in : n->inputs()) {
-            ts.push_back(frame->at(in)[0]);
-        }
-        return ts;
-    };
-
-    std::vector<Tensor> outputs;
-    for (Node* node : g.nodes()) {
-        switch (node->kind()) {
-          case NodeKind::Placeholder:
-            break;
-          case NodeKind::GetParam: {
-            Module* m = node->module() ? node->module() : owner;
-            frame->put(node, {m->paramTensor(node->target())});
-            break;
-          }
-          case NodeKind::CallOp: {
-            OpTimer timer(opKindName(node->op()), "",
-                          node->provenance().primitive);
-            obs::MemNodeScope mem_scope(node->id(),
-                                        &node->provenance().primitive);
-            std::vector<Value> ins;
-            for (const Node* in : node->inputs()) {
-                ins.emplace_back(frame->at(in)[0]);
-            }
-            Tensor out = nn::interpretOp(*node, ins).tensor();
-            if (frame->counted && !node->checkpointed()) {
-                result_.stored_activation_bytes += out.bytes();
-            }
-            frame->put(node, {std::move(out)});
-            break;
-          }
-          case NodeKind::CallModule: {
-            Module* child = node->module();
-            SLAPO_ASSERT(child, "call_module without module binding");
-            std::vector<Tensor> ins = in_tensors(node);
-            std::vector<Shape> shapes;
-            for (const Tensor& t : ins) shapes.push_back(t.shape());
-            auto child_graph = graphFor(*child, shapes);
-
-            const bool checkpointed =
-                node->checkpointed() || child->meta().checkpointed;
-            auto child_frame = std::make_unique<Frame>();
-            child_frame->counted = frame->counted && !checkpointed;
-            obs::ModuleScope scope(node->target());
-            std::vector<Tensor> outs =
-                forwardGraph(*child_graph, child, ins, child_frame.get());
-            if (!outs.empty() && !child->meta().syncs.empty()) {
-                // Collective boundaries inserted by .sync(): time them as
-                // their own row so the step report can separate the cost
-                // of aggregation from the sharded compute it follows.
-                OpTimer sync_timer("sync", "", "sync");
-                outs[0] = applyForwardSyncs(child->meta().syncs, outs[0]);
-            }
-            if (!checkpointed) {
-                frame->children[node] = std::move(child_frame);
-            }
-            frame->put(node, std::move(outs));
-            break;
-          }
-          case NodeKind::FusedOp: {
-            std::vector<Tensor> ins = in_tensors(node);
-            auto sub_frame = std::make_unique<Frame>();
-            sub_frame->counted = frame->counted;
-            std::vector<Tensor> outs =
-                forwardGraph(*node->subgraph(), owner, ins, sub_frame.get());
-            frame->children[node] = std::move(sub_frame);
-            frame->put(node, std::move(outs));
-            break;
-          }
-          case NodeKind::TupleGet: {
-            frame->put(node,
-                       {frame->at(node->inputs()[0])[node->attrInt("index")]});
-            break;
-          }
-          case NodeKind::Output: {
-            for (const Node* in : node->inputs()) {
-                outputs.push_back(frame->at(in)[0]);
-            }
-            // .checkpoint(subgraph): evict the flagged activations now
-            // that the forward is done; backward rematerializes them
-            // lazily from their (retained) region inputs.
-            for (Node* n : g.nodes()) {
-                if (n->kind() == NodeKind::CallOp && n->checkpointed() &&
-                    g.usersOf(n).size() > 0) {
-                    frame->evict(n);
-                }
-            }
-            return outputs;
-          }
-        }
-    }
-    SLAPO_THROW("autograd: graph has no output node");
-}
-
-std::vector<Tensor>
-AutogradEngine::backwardGraph(const Graph& g, Module* owner, Frame& frame,
+AutogradEngine::backwardGraph(nn::Frame& frame,
                               const std::vector<Tensor>& grad_outputs)
 {
-    // Dense per-node-id gradient slots, mirroring Frame's layout.
+    const Graph& g = *frame.graph;
+    // Dense per-node-id gradient slots, mirroring Frame's layout: an
+    // empty slot is a node no gradient reached.
     std::vector<std::vector<Tensor>> gslots(g.idBound());
-    std::vector<char> gdef(g.idBound(), 0);
 
     // Memory attribution: everything the reverse walk allocates is
     // gradient-flavoured (grad slots, backward-rule temporaries, even
@@ -472,7 +246,6 @@ AutogradEngine::backwardGraph(const Graph& g, Module* owner, Frame& frame,
                          node->id() < static_cast<int64_t>(gslots.size()),
                      "backward: node id out of range for " << node->name());
         auto& slots = gslots[node->id()];
-        gdef[node->id()] = 1;
         if (slots.size() <= index) {
             slots.resize(std::max(slots.size(), index + 1));
         }
@@ -487,7 +260,7 @@ AutogradEngine::backwardGraph(const Graph& g, Module* owner, Frame& frame,
     // .checkpoint(subgraph): recompute from retained region inputs.
     std::function<Tensor(const Node*)> value = [&](const Node* n) -> Tensor {
         if (frame.has(n)) {
-            return frame.at(n)[0];
+            return frame.at(n)[0].tensor();
         }
         SLAPO_ASSERT(n->kind() == NodeKind::CallOp,
                      "missing non-op activation for " << n->name());
@@ -495,10 +268,10 @@ AutogradEngine::backwardGraph(const Graph& g, Module* owner, Frame& frame,
         for (const Node* in : n->inputs()) {
             ins.emplace_back(value(in));
         }
-        Tensor out = nn::interpretOp(*n, ins).tensor();
+        Value out = nn::interpretOp(*n, ins);
         frame.put(n, {out});
         ++result_.recomputed_nodes;
-        return out;
+        return out.tensor();
     };
 
     auto nodes = g.nodes();
@@ -541,7 +314,7 @@ AutogradEngine::backwardGraph(const Graph& g, Module* owner, Frame& frame,
         if (node->kind() == NodeKind::Output) {
             continue;
         }
-        if (!gdef[node->id()]) {
+        if (gslots[node->id()].empty()) {
             release_node(node); // dead branch: its activation is dead too
             continue;
         }
@@ -565,15 +338,12 @@ AutogradEngine::backwardGraph(const Graph& g, Module* owner, Frame& frame,
             break;
           }
           case NodeKind::GetParam: {
-            Module* m = node->module() ? node->module() : owner;
-            accumulateParamGrad(m->paramTensor(node->target()), slots[0]);
+            accumulateParamGrad(node->module()->paramTensor(node->target()),
+                                slots[0]);
             break;
           }
           case NodeKind::CallOp: {
-            OpTimer timer(opKindName(node->op()), ".bwd",
-                          node->provenance().primitive);
-            obs::MemNodeScope mem_scope(node->id(),
-                                        &node->provenance().primitive);
+            nn::NodeTimer timer(opKindName(node->op()), *node, ".bwd");
             std::vector<Tensor> x;
             for (const Node* in : node->inputs()) {
                 x.push_back(value(in));
@@ -590,39 +360,30 @@ AutogradEngine::backwardGraph(const Graph& g, Module* owner, Frame& frame,
           }
           case NodeKind::CallModule: {
             Module* child = node->module();
-            std::vector<Tensor> ins;
-            std::vector<Shape> shapes;
-            for (const Node* in : node->inputs()) {
-                ins.push_back(value(in));
-                shapes.push_back(ins.back().shape());
-            }
-            auto child_graph = graphFor(*child, shapes);
-
-            Frame* child_frame = nullptr;
-            std::unique_ptr<Frame> recomputed;
+            nn::Frame* child_frame = nullptr;
+            std::unique_ptr<nn::Frame> recomputed;
             auto fit = frame.children.find(node);
             if (fit != frame.children.end()) {
                 child_frame = fit->second.get();
             } else {
-                // Checkpointed: recompute internals from stored boundaries.
-                recomputed = std::make_unique<Frame>();
-                recomputed->counted = false;
-                forwardGraph(*child_graph, child, ins, recomputed.get());
+                // Checkpointed: recompute the child's forward from its
+                // stored boundary inputs, outside its call boundary (its
+                // forward syncs already ran).
+                std::vector<Value> ins;
+                for (const Node* in : node->inputs()) {
+                    ins.emplace_back(value(in));
+                }
+                const Graph& child_graph = graphs_.graphFor(*child, ins);
+                recomputed = std::make_unique<nn::Frame>(child_graph,
+                                                         &graphs_, nullptr);
+                nn::interpretGraph(child_graph, ins, recomputed.get());
                 result_.recomputed_nodes +=
-                    static_cast<int64_t>(child_graph->size());
+                    static_cast<int64_t>(child_graph.size());
                 child_frame = recomputed.get();
             }
-            // Note: forward syncs with all-reduce have identity backward;
-            // per-spec backward syncs fire on the input gradient below.
             obs::ModuleScope scope(node->target());
             std::vector<Tensor> child_in_grads =
-                backwardGraph(*child_graph, child, *child_frame, slots);
-            if (!child_in_grads.empty() && !child->meta().syncs.empty() &&
-                child_in_grads[0].materialized()) {
-                OpTimer sync_timer("sync", ".bwd", "sync");
-                child_in_grads[0] =
-                    applyBackwardSyncs(child->meta().syncs, child_in_grads[0]);
-            }
+                backwardModule(*child, *child_frame, slots);
             for (size_t i = 0; i < child_in_grads.size(); ++i) {
                 if (child_in_grads[i].materialized()) {
                     accumulate(node->inputs()[i], 0, child_in_grads[i]);
@@ -631,9 +392,8 @@ AutogradEngine::backwardGraph(const Graph& g, Module* owner, Frame& frame,
             break;
           }
           case NodeKind::FusedOp: {
-            Frame* sub = frame.children.at(node).get();
-            std::vector<Tensor> in_grads =
-                backwardGraph(*node->subgraph(), owner, *sub, slots);
+            nn::Frame* sub = frame.children.at(node).get();
+            std::vector<Tensor> in_grads = backwardGraph(*sub, slots);
             for (size_t i = 0; i < in_grads.size(); ++i) {
                 if (in_grads[i].materialized()) {
                     accumulate(node->inputs()[i], 0, in_grads[i]);
@@ -690,20 +450,24 @@ AutogradEngine::run(Module& model, const std::vector<Tensor>& inputs)
     const auto run_start = std::chrono::steady_clock::now();
 
     result_ = GradResult{};
-    std::vector<Shape> shapes;
-    for (const Tensor& t : inputs) shapes.push_back(t.shape());
-    std::shared_ptr<Graph> g;
+    std::vector<Value> values;
+    for (const Tensor& t : inputs) {
+        values.emplace_back(t);
+    }
+    const Graph* g = nullptr;
     {
         // First call traces the module (expensive); later calls hit the
         // cache, so this span shows the one-time tracing cost distinctly.
         obs::TraceSpan trace_span("autograd.trace", "autograd");
-        g = graphFor(model, shapes);
+        g = &graphs_.graphFor(model, values);
     }
 
-    Frame frame;
+    nn::Frame frame(*g, &graphs_, &result_.stored_activation_bytes);
     {
         obs::TraceSpan fwd_span("autograd.forward", "autograd");
-        result_.outputs = forwardGraph(*g, &model, inputs, &frame);
+        for (const Value& v : model.call(values, &frame)) {
+            result_.outputs.push_back(v.tensor());
+        }
     }
     SLAPO_CHECK(result_.outputs.size() == 1 &&
                     result_.outputs[0].numel() == 1,
@@ -711,7 +475,7 @@ AutogradEngine::run(Module& model, const std::vector<Tensor>& inputs)
     {
         obs::TraceSpan bwd_span("autograd.backward", "autograd");
         result_.input_grads =
-            backwardGraph(*g, &model, frame, {Tensor::full({1}, 1.0f)});
+            backwardModule(model, frame, {Tensor::full({1}, 1.0f)});
     }
     if (prof != nullptr) {
         const int64_t wall = std::chrono::duration_cast<
@@ -720,9 +484,9 @@ AutogradEngine::run(Module& model, const std::vector<Tensor>& inputs)
                                  .count();
         const int64_t attributed =
             obs::OpProfiler::threadRecordedNs() - recorded_before;
-        // Nested CallModule timers can double-count their inner ops, so
-        // the remainder may come out negative; only a positive gap is a
-        // real unattributed cost.
+        // A FusedOp's timer nests its inner ops' timers, so the
+        // remainder may come out negative; only a positive gap is a real
+        // unattributed cost.
         if (wall > attributed) {
             prof->record("engine.overhead", "", "baseline",
                          wall - attributed);

@@ -3,25 +3,31 @@
  * Reverse-mode autodiff over traced graphs — the reproduction of
  * PyTorch's autograd for the transformer op set.
  *
- * The engine traces the model hierarchically (reusing any graph a
- * schedule already installed), runs the forward storing intermediate
- * activations, then walks the graph backwards applying per-op gradient
+ * The engine runs the training forward through the one forward
+ * executor, nn::interpretGraph, with a recording nn::Frame: every
+ * intermediate activation is kept, and every child module records into
+ * a child frame over the graph the engine's nn::GraphCache gives for it
+ * (a schedule's installed graph, else a trace made on first use). It
+ * then walks the recorded graphs backwards applying per-op gradient
  * rules. Two schedule features change its behaviour:
  *
  *  - **Activation checkpointing** (`.checkpoint()`): a checkpointed
- *    CallModule stores only its boundary inputs; its internals are
- *    recomputed during backward. The engine reports stored-activation
- *    bytes so tests can observe the memory/compute trade (§2.1, §3.2.1).
- *  - **Tensor parallelism** (`.shard()` + `.sync()`): forward collectives
- *    replay through the ProcessGroup; `.sync("backward")` points issue
- *    the conjugate all-reduce on input gradients (Megatron's f/g pair).
+ *    CallModule keeps no frame, only its boundary inputs; backward
+ *    recomputes its internals through interpretGraph. The engine reports
+ *    stored-activation bytes so tests can observe the memory/compute
+ *    trade (§2.1, §3.2.1).
+ *  - **Tensor parallelism** (`.shard()` + `.sync()`): forward syncs apply
+ *    at each module's call boundary, in Module::call, exactly as in eval,
+ *    and backward takes their gradients at the same boundary;
+ *    `.sync("backward")` points issue the conjugate all-reduce on input
+ *    gradients (Megatron's f/g pair).
  */
 #pragma once
 
 #include <map>
-#include <memory>
 #include <vector>
 
+#include "nn/interpreter.h"
 #include "nn/module.h"
 
 namespace slapo {
@@ -61,27 +67,18 @@ class AutogradEngine
     static Tensor gradFor(const GradResult& result, const Tensor& param);
 
   private:
-    struct Frame; // per-graph activation store
+    /** Backward of one module call recorded in `frame`, `.sync()`
+     * points included: the gradients of its forward syncs, its graph's
+     * backward, then its backward syncs on the input gradient. */
+    std::vector<Tensor> backwardModule(nn::Module& module, nn::Frame& frame,
+                                       const std::vector<Tensor>& grad_outputs);
 
-    std::shared_ptr<graph::Graph> graphFor(nn::Module& module,
-                                           const std::vector<Shape>& shapes);
-
-    std::vector<Tensor> forwardGraph(const graph::Graph& g, nn::Module* owner,
-                                     const std::vector<Tensor>& inputs,
-                                     Frame* frame);
-
-    std::vector<Tensor> backwardGraph(const graph::Graph& g, nn::Module* owner,
-                                      Frame& frame,
+    std::vector<Tensor> backwardGraph(nn::Frame& frame,
                                       const std::vector<Tensor>& grad_outputs);
 
     void accumulateParamGrad(const Tensor& param, const Tensor& grad);
 
-    /** Traced graphs keyed on (module, input shapes): a traced graph bakes
-     * in its input shapes, so a child called with two shapes in one run
-     * needs two. Scoped to this engine. */
-    std::map<const nn::Module*,
-             std::map<std::vector<Shape>, std::shared_ptr<graph::Graph>>>
-        graph_cache_;
+    nn::GraphCache graphs_;
     GradResult result_;
 };
 

@@ -205,13 +205,13 @@ TEST_F(AllocTest, InterpreterPlannerOnOffBitIdentical)
     Tensor x_before = x.clone();
 
     graph::setMemPlanEnabled(true);
-    auto on = nn::interpretGraph(*g, nullptr, {nn::Value(x)});
+    auto on = nn::interpretGraph(*g, {nn::Value(x)});
     // The caller still holds x, so the executor's storage-unique guard
     // must have kept every in-place rewrite off x's actual buffer.
     EXPECT_TRUE(bitwiseEqual(x, x_before));
 
     graph::setMemPlanEnabled(false);
-    auto off = nn::interpretGraph(*g, nullptr, {nn::Value(x)});
+    auto off = nn::interpretGraph(*g, {nn::Value(x)});
 
     ASSERT_EQ(on.size(), off.size());
     ASSERT_EQ(on.size(), 1u);

@@ -20,6 +20,15 @@ struct RecipeCase
     const char* recipe; // "kernel", "ckpt", "tp", "tp_embed"
 };
 
+/** gtest_discover_tests names each ctest after this printout. Without it
+ * gtest would print the struct's raw bytes, and with them the addresses
+ * of `model` and `recipe`, which move on every run. */
+void
+PrintTo(const RecipeCase& c, std::ostream* os)
+{
+    *os << c.model << "_" << c.recipe;
+}
+
 ScheduleRecipe
 recipeOf(const std::string& name)
 {
@@ -76,10 +85,7 @@ INSTANTIATE_TEST_SUITE_P(
         RecipeCase{"gpt", "tp"}, RecipeCase{"gpt", "tp_embed"},
         RecipeCase{"opt", "kernel"}, RecipeCase{"opt", "tp_embed"},
         RecipeCase{"t5", "kernel"}, RecipeCase{"t5", "tp"},
-        RecipeCase{"wideresnet", "kernel"}, RecipeCase{"wideresnet", "ckpt"}),
-    [](const auto& info) {
-        return std::string(info.param.model) + "_" + info.param.recipe;
-    });
+        RecipeCase{"wideresnet", "kernel"}, RecipeCase{"wideresnet", "ckpt"}));
 
 TEST(Recipes, MegatronFusedSoftmaxIsAlsoExact)
 {

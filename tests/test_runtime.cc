@@ -4,6 +4,7 @@
 
 #include <thread>
 
+#include "analysis/lint.h"
 #include "baselines/slapo_schedules.h"
 #include "core/schedule.h"
 #include "sim/memory_model.h"
@@ -364,49 +365,179 @@ TEST(Autograd, PartialCheckpointReducesProfiledActivations)
     EXPECT_GT(with.checkpoint_boundary_bytes, 0);
 }
 
+/** One step of `model` under tensorParallel(2, 0, shard_embedding) on
+ * DistExecutor, next to its unscheduled copy on one device. */
+struct TensorParallelStep
+{
+    ModulePtr reference;
+    GradResult dense;
+    std::vector<ModulePtr> replicas;
+    std::vector<GradResult> results;
+    std::vector<float> interpreted; ///< each rank's eval forward loss
+};
+
+TensorParallelStep
+runTensorParallelStep(ModulePtr model, bool shard_embedding, int64_t seq,
+                      int64_t vocab)
+{
+    TensorParallelStep step;
+    step.reference = withCrossEntropyLoss(model->clone());
+    auto sch = baselines::applyRecipe(
+        model,
+        baselines::ScheduleRecipe::tensorParallel(2, 0.0, shard_embedding),
+        seq);
+    auto scheduled = runtime::withCrossEntropyLoss(sch->module());
+
+    Tensor ids = Tensor::randint({2, seq}, vocab, 53);
+    Tensor targets = Tensor::randint({2, seq}, vocab, 59);
+
+    AutogradEngine ref_engine;
+    step.dense = ref_engine.run(*step.reference, {ids, targets});
+
+    DistExecutor executor(2);
+    step.replicas = executor.replicate(*scheduled);
+    step.results.resize(2);
+    step.interpreted.resize(2);
+    executor.run(step.replicas, [&](int rank, nn::Module& m, ProcessGroup&) {
+        AutogradEngine engine;
+        step.results[rank] = engine.run(m, {ids, targets});
+        step.interpreted[rank] =
+            m.callOne({nn::Value(ids), nn::Value(targets)}).tensor().at(0);
+    });
+    return step;
+}
+
+/** Training runs the forward the interpreter runs: each rank's training
+ * loss equals its eval forward loss bit for bit, and the dense loss up
+ * to float rounding. */
+void
+expectTrainingLossMatches(const TensorParallelStep& step)
+{
+    const float dense = step.dense.outputs[0].at(0);
+    for (int r = 0; r < 2; ++r) {
+        const float trained = step.results[r].outputs[0].at(0);
+        EXPECT_EQ(trained, step.interpreted[r]) << "rank " << r;
+        EXPECT_NEAR(trained, dense, 1e-5f) << "rank " << r;
+    }
+}
+
 TEST(Autograd, TensorParallelTrainingMatchesSingleDevice)
 {
     // Full TP schedule on tiny BERT: forward AND backward must match the
     // single-device reference (gradients of a row-parallel weight shard
     // equal the corresponding slice of the dense gradient).
-    auto model = models::buildTinyModel("bert");
-    model->initializeParams(47);
-    ModulePtr reference_inner = model->clone();
+    for (bool shard_embedding : {false, true}) {
+        SCOPED_TRACE(shard_embedding ? "shard_embedding" : "dense embedding");
+        auto model = models::buildTinyModel("bert");
+        model->initializeParams(47);
+        TensorParallelStep step =
+            runTensorParallelStep(model, shard_embedding, 8, 64);
+        expectTrainingLossMatches(step);
 
-    auto sch = baselines::applyRecipe(
-        model, baselines::ScheduleRecipe::tensorParallel(2, 0.0, true));
-    auto scheduled = runtime::withCrossEntropyLoss(sch->module());
-    auto reference = runtime::withCrossEntropyLoss(reference_inner);
+        // Check one sharded gradient: fc2 (row-parallel) of layer 0.
+        auto ref_fc2 =
+            step.reference->findByPath("model.encoder.layer.0.ffn.fc2");
+        Tensor dense_grad =
+            AutogradEngine::gradFor(step.dense, ref_fc2->paramTensor("weight"));
+        auto rank0_fc2 =
+            step.replicas[0]->findByPath("model.encoder.layer.0.ffn.fc2");
+        Tensor shard_grad = AutogradEngine::gradFor(
+            step.results[0], rank0_fc2->paramTensor("weight"));
+        Tensor expected_slice =
+            ops::narrow(dense_grad, 1, 0, dense_grad.size(1) / 2);
+        EXPECT_TRUE(Tensor::allClose(expected_slice, shard_grad, 1e-3f));
+    }
+}
 
-    Tensor ids = Tensor::randint({2, 8}, 64, 53);
-    Tensor targets = Tensor::randint({2, 8}, 64, 59);
+TEST(Autograd, TensorParallelTrainingMatchesSingleDeviceMidBert)
+{
+    // The 2-layer mid BERT, where every row-parallel linear's all-reduce
+    // once ran twice in training (once in the child's traced graph, once
+    // at its call boundary) and the loss drifted by ~3e-3.
+    models::TransformerConfig config =
+        models::modelConfig("bert").scaled(256, 2, 4, 2048, 64);
+    config.dropout = 0.0;
+    for (bool shard_embedding : {false, true}) {
+        SCOPED_TRACE(shard_embedding ? "shard_embedding" : "dense embedding");
+        auto model = std::make_shared<models::BertModel>(config, "BertModel");
+        model->initializeParams(7);
+        expectTrainingLossMatches(
+            runTensorParallelStep(model, shard_embedding, 64, 2048));
+    }
+}
 
+TEST(DistExecutor, RowParallelLinearTracedAfterSyncMatchesDense)
+{
+    // A row-parallel Linear `.trace()`d after its `.sync()`: the sync is
+    // not in its graph, so Module::call all-reduces its output once.
+    auto model = std::make_shared<nn::Sequential>();
+    model->append(std::make_shared<nn::Linear>(8, 16, /*bias=*/true));
+    model->append(std::make_shared<nn::Linear>(16, 8, /*bias=*/true));
+    model->initializeParams(191);
+    ModulePtr reference = model->clone();
+
+    auto sch = core::Schedule::create(model, 2);
+    (*sch)["0"].shard(std::vector<std::string>{"weight", "bias"}, 0);
+    (*sch)["0"].sync(nn::SyncDirection::Backward);
+    (*sch)["1"].shard("weight", 1);
+    (*sch)["1"].sync(nn::SyncDirection::Forward);
+    (*sch)["1"].trace({{3, 16}});
+    EXPECT_FALSE(analysis::lintModule(*model, 2).hasErrors());
+
+    Tensor x = Tensor::uniform({3, 8}, 1.0f, 193);
+    Tensor expected = reference->callOne({nn::Value(x)}).tensor();
+    DistExecutor executor(2);
+    auto outputs = executor.forward(*model, {x});
+    for (int r = 0; r < 2; ++r) {
+        EXPECT_TRUE(Tensor::allClose(expected, outputs[r][0], 1e-5f))
+            << "rank " << r << " max |diff| "
+            << Tensor::maxAbsDiff(expected, outputs[r][0]);
+    }
+}
+
+TEST(Autograd, AllGatherSyncTrainingMatchesDense)
+{
+    // A column-parallel Linear whose `.sync(forward, all_gather)` runs
+    // at its call boundary: backward keeps this rank's slice of the
+    // gathered output's gradient before the Linear's own backward.
+    auto make = [] {
+        auto seq = std::make_shared<nn::Sequential>();
+        seq->append(std::make_shared<nn::Linear>(8, 16, /*bias=*/true));
+        seq->append(std::make_shared<nn::Linear>(16, 4, /*bias=*/true));
+        return seq;
+    };
+    auto model = make();
+    model->initializeParams(197);
+    auto reference = withMseLoss(model->clone());
+    auto sch = core::Schedule::create(model, 2);
+    (*sch)["0"].shard(std::vector<std::string>{"weight", "bias"}, 0);
+    (*sch)["0"].sync(nn::SyncDirection::Forward, nn::SyncKind::AllGather,
+                     /*axis=*/-1);
+    auto scheduled = withMseLoss(model);
+
+    Tensor x = Tensor::uniform({3, 8}, 1.0f, 199);
+    Tensor y = Tensor::uniform({3, 4}, 1.0f, 211);
     AutogradEngine ref_engine;
-    GradResult ref = ref_engine.run(*reference, {ids, targets});
+    GradResult dense = ref_engine.run(*reference, {x, y});
+    Tensor dense_w0 = AutogradEngine::gradFor(
+        dense, reference->findByPath("model.0")->paramTensor("weight"));
 
     DistExecutor executor(2);
     auto replicas = executor.replicate(*scheduled);
-    std::vector<float> losses(2);
     std::vector<GradResult> results(2);
     executor.run(replicas, [&](int rank, nn::Module& m, ProcessGroup&) {
         AutogradEngine engine;
-        results[rank] = engine.run(m, {ids, targets});
-        losses[rank] = results[rank].outputs[0].at(0);
+        results[rank] = engine.run(m, {x, y});
     });
-
-    EXPECT_NEAR(losses[0], ref.outputs[0].at(0), 1e-3f);
-    EXPECT_NEAR(losses[1], ref.outputs[0].at(0), 1e-3f);
-
-    // Check one sharded gradient: fc2 (row-parallel) of layer 0.
-    auto ref_fc2 = reference->findByPath("model.encoder.layer.0.ffn.fc2");
-    Tensor dense_grad =
-        AutogradEngine::gradFor(ref, ref_fc2->paramTensor("weight"));
-    auto rank0_fc2 =
-        replicas[0]->findByPath("model.encoder.layer.0.ffn.fc2");
-    Tensor shard_grad =
-        AutogradEngine::gradFor(results[0], rank0_fc2->paramTensor("weight"));
-    Tensor expected_slice = ops::narrow(dense_grad, 1, 0, dense_grad.size(1) / 2);
-    EXPECT_TRUE(Tensor::allClose(expected_slice, shard_grad, 1e-3f));
+    for (int r = 0; r < 2; ++r) {
+        EXPECT_NEAR(results[r].outputs[0].at(0), dense.outputs[0].at(0),
+                    1e-6f);
+        Tensor shard_w0 = AutogradEngine::gradFor(
+            results[r], replicas[r]->findByPath("model.0")->paramTensor("weight"));
+        EXPECT_TRUE(Tensor::allClose(ops::narrow(dense_w0, 0, 8 * r, 8),
+                                     shard_w0, 1e-6f))
+            << "rank " << r;
+    }
 }
 
 TEST(DistExecutor, VocabParallelHeadMatchesDense)
@@ -474,6 +605,15 @@ TEST(Autograd, VocabParallelHeadGradientsMatchDense)
     EXPECT_EQ(shard_grad.shape(), (Shape{32, 8}));
     Tensor expected_slice = ops::narrow(dense_grad, 0, 0, 32);
     EXPECT_TRUE(Tensor::allClose(expected_slice, shard_grad, 1e-4f));
+    // The head's backward all-reduce (Megatron's "f") sums the vocab
+    // slices' shares of the replicated input's gradient on every rank.
+    for (int r = 0; r < 2; ++r) {
+        EXPECT_TRUE(Tensor::allClose(dense_result.input_grads[0],
+                                     results[r].input_grads[0], 1e-6f))
+            << "rank " << r << " max |diff| "
+            << Tensor::maxAbsDiff(dense_result.input_grads[0],
+                                  results[r].input_grads[0]);
+    }
 }
 
 /** Flattens [b, s, h] to [b * s, h] and projects it: the reshape target
