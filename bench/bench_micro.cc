@@ -419,10 +419,15 @@ BENCHMARK(BM_AllocAcquireRelease)->Arg(0)->Arg(1)->ArgName("pool");
 void
 BM_ProfilerDisabledCheck(benchmark::State& state)
 {
-    // The per-node cost of attribution when no profiler is installed:
-    // one relaxed atomic load (docs/OBSERVABILITY.md, "Overhead").
+    // What every executed node pays when nothing observes it: open and
+    // close a disabled OpScope, one relaxed atomic load
+    // (docs/OBSERVABILITY.md, "Overhead").
+    const std::string primitive = "fuse";
+    const std::string node = "linear_1";
     for (auto _ : state) {
-        benchmark::DoNotOptimize(obs::OpProfiler::current());
+        obs::OpScope scope("linear", primitive,
+                           {.node_id = 1, .node = &node});
+        benchmark::DoNotOptimize(&scope);
     }
     state.SetItemsProcessed(state.iterations());
 }
@@ -432,8 +437,8 @@ void
 BM_ProfilerRecord(benchmark::State& state)
 {
     // The per-node cost with a profiler installed: clock reads happen in
-    // the interpreter's timers; this measures the record() fold itself
-    // (map lookup + histogram bump under the profiler mutex).
+    // the OpScope; this measures the record() fold itself (map lookup +
+    // histogram bump under the profiler mutex).
     obs::OpProfiler profiler;
     const std::string op = "linear";
     const std::string path = "encoder.layer.0.ffn.fc1";

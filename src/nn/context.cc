@@ -7,7 +7,7 @@ namespace nn {
 
 namespace {
 thread_local TracingState* g_tracing = nullptr;
-thread_local Profiler* g_profiler = nullptr;
+thread_local CostRecorder* g_recorder = nullptr;
 thread_local DistContext* g_dist = nullptr;
 } // namespace
 
@@ -65,7 +65,7 @@ Profile::commBytes(bool backward) const
 }
 
 void
-Profiler::beginModule(const std::string& name, bool checkpointed)
+CostRecorder::beginModule(const std::string& name, bool checkpointed)
 {
     module_stack_.push_back(name);
     if (checkpointed) ++checkpoint_depth_;
@@ -76,7 +76,7 @@ Profiler::beginModule(const std::string& name, bool checkpointed)
 }
 
 void
-Profiler::endModule()
+CostRecorder::endModule()
 {
     SLAPO_ASSERT(!module_stack_.empty(), "endModule without beginModule");
     if (ckpt_frames_.back()) --checkpoint_depth_;
@@ -85,7 +85,8 @@ Profiler::endModule()
 }
 
 void
-Profiler::beginKernelScope(const std::string& name, bool recompute_free)
+CostRecorder::beginKernelScope(const std::string& name,
+                               bool recompute_free)
 {
     if (kernel_scope_depth_++ == 0) {
         pending_ = KernelRecord{};
@@ -97,7 +98,7 @@ Profiler::beginKernelScope(const std::string& name, bool recompute_free)
 }
 
 void
-Profiler::endKernelScope()
+CostRecorder::endKernelScope()
 {
     SLAPO_ASSERT(kernel_scope_depth_ > 0, "endKernelScope without begin");
     if (--kernel_scope_depth_ == 0) {
@@ -106,8 +107,8 @@ Profiler::endKernelScope()
 }
 
 void
-Profiler::recordOp(const std::string& name, double flops, double elems_in,
-                   double elems_out)
+CostRecorder::recordOp(const std::string& name, double flops,
+                       double elems_in, double elems_out)
 {
     const double bytes_in = elems_in * bytes_per_element_;
     const double bytes_out = elems_out * bytes_per_element_;
@@ -133,7 +134,7 @@ Profiler::recordOp(const std::string& name, double flops, double elems_in,
 }
 
 void
-Profiler::recordComm(const std::string& kind, double elems, bool backward)
+CostRecorder::recordComm(const std::string& kind, double elems, bool backward)
 {
     CommRecord rec;
     rec.kind = kind;
@@ -144,13 +145,13 @@ Profiler::recordComm(const std::string& kind, double elems, bool backward)
 }
 
 void
-Profiler::recordCheckpointBoundary(double elems)
+CostRecorder::recordCheckpointBoundary(double elems)
 {
     profile_.checkpoint_boundary_bytes += elems * bytes_per_element_;
 }
 
 std::string
-Profiler::path() const
+CostRecorder::path() const
 {
     std::string p;
     for (const auto& part : module_stack_) {
@@ -160,20 +161,21 @@ Profiler::path() const
     return p;
 }
 
-Profiler*
-Profiler::current()
+CostRecorder*
+CostRecorder::current()
 {
-    return g_profiler;
+    return g_recorder;
 }
 
-ProfilerGuard::ProfilerGuard(Profiler* profiler) : previous_(g_profiler)
+CostRecorderGuard::CostRecorderGuard(CostRecorder* recorder)
+    : previous_(g_recorder)
 {
-    g_profiler = profiler;
+    g_recorder = recorder;
 }
 
-ProfilerGuard::~ProfilerGuard()
+CostRecorderGuard::~CostRecorderGuard()
 {
-    g_profiler = previous_;
+    g_recorder = previous_;
 }
 
 DistContext*

@@ -4,7 +4,7 @@
  *
  * Three orthogonal, thread-local contexts:
  *  - TracingState: ops append IR nodes instead of computing (§3.3 trace);
- *  - Profiler: eager ops report their cost signature (FLOPs, bytes,
+ *  - CostRecorder: eager ops report their cost signature (FLOPs, bytes,
  *    activation footprint) — the input of the performance simulator;
  *  - DistContext: the calling thread is rank r of an N-way group;
  *    collective ops go through the ProcessGroup (runtime/) or, in meta
@@ -135,11 +135,11 @@ struct Profile
 };
 
 /** Eager-execution cost recorder. */
-class Profiler
+class CostRecorder
 {
   public:
     /** @param bytes_per_element model precision (2 = fp16, 4 = fp32). */
-    explicit Profiler(double bytes_per_element = 2.0)
+    explicit CostRecorder(double bytes_per_element = 2.0)
         : bytes_per_element_(bytes_per_element) {}
 
     double bytesPerElement() const { return bytes_per_element_; }
@@ -162,10 +162,10 @@ class Profiler
     const Profile& profile() const { return profile_; }
     Profile takeProfile() { return std::move(profile_); }
 
-    static Profiler* current();
+    static CostRecorder* current();
 
   private:
-    friend class ProfilerGuard;
+    friend class CostRecorderGuard;
     std::string path() const;
 
     double bytes_per_element_;
@@ -179,17 +179,17 @@ class Profiler
     KernelRecord pending_;
 };
 
-/** RAII activation of a Profiler on this thread. */
-class ProfilerGuard
+/** RAII activation of a CostRecorder on this thread. */
+class CostRecorderGuard
 {
   public:
-    explicit ProfilerGuard(Profiler* profiler);
-    ~ProfilerGuard();
-    ProfilerGuard(const ProfilerGuard&) = delete;
-    ProfilerGuard& operator=(const ProfilerGuard&) = delete;
+    explicit CostRecorderGuard(CostRecorder* recorder);
+    ~CostRecorderGuard();
+    CostRecorderGuard(const CostRecorderGuard&) = delete;
+    CostRecorderGuard& operator=(const CostRecorderGuard&) = delete;
 
   private:
-    Profiler* previous_;
+    CostRecorder* previous_;
 };
 
 /** This thread is rank `rank` of `world_size`; collectives use `group`

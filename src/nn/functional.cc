@@ -65,7 +65,7 @@ dispatch(const OpCall& call, const std::vector<Value>& inputs,
         return Value(Tensor::meta(call.out_shape), node);
     }
 
-    if (Profiler* prof = Profiler::current(); prof && !call.is_view) {
+    if (CostRecorder* prof = CostRecorder::current(); prof && !call.is_view) {
         prof->recordOp(opKindName(call.kind), call.flops, elems(inputs),
                        static_cast<double>(numelOf(call.out_shape)));
     }
@@ -564,7 +564,7 @@ collective(OpKind kind, const Value& x, int64_t axis)
         return Value(Tensor::meta(out_shape), node);
     }
 
-    if (Profiler* prof = Profiler::current()) {
+    if (CostRecorder* prof = CostRecorder::current()) {
         // Payload convention: the *full* tensor being exchanged — the
         // gathered output for all-gather, the reduced input otherwise —
         // so ring-cost formulas apply their (n-1)/n factors uniformly.

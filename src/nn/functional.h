@@ -4,7 +4,7 @@
  *
  * Every function dispatches on ambient context (see context.h):
  * symbolic-trace, eager-numeric, or meta shape propagation, reporting its
- * cost signature to an active Profiler. This single dispatch point is
+ * cost signature to an active CostRecorder. This single dispatch point is
  * what lets one model definition serve eager execution, tracing,
  * verification, and performance simulation — the reproduction of the
  * PyTorch/torch.fx substrate the paper builds on.

@@ -5,14 +5,13 @@
 #include "nn/functional.h"
 #include "nn/module.h"
 #include "nn/tracer.h"
+#include "obs/profiler.h"
 #include "tensor/ops.h"
 
 namespace slapo {
 namespace nn {
 
 namespace {
-
-const std::string kSyncPrimitive = "sync";
 
 std::vector<Shape>
 shapesOf(const std::vector<Value>& values)
@@ -175,52 +174,6 @@ Frame::evict(const graph::Node* n)
     }
 }
 
-NodeTimer::NodeTimer(const char* op, const graph::Node& node,
-                     const char* suffix)
-    : NodeTimer(op, suffix, node.provenance().primitive, &node)
-{
-}
-
-NodeTimer::NodeTimer(Sync sync)
-    : NodeTimer("sync", sync.suffix, kSyncPrimitive, nullptr)
-{
-}
-
-NodeTimer::NodeTimer(const char* op, const char* suffix,
-                     const std::string& primitive, const graph::Node* node)
-    : primitive_(&primitive), profiler_(obs::OpProfiler::current())
-{
-    if (node != nullptr) {
-        mem_scope_.emplace(node->id(), primitive_);
-    }
-    if (profiler_ != nullptr || obs::tracingEnabled()) {
-        name_ = op;
-        name_ += suffix;
-        span_.emplace(name_, "op");
-        if (node != nullptr) {
-            span_->arg("node", node->name());
-        }
-        if (!obs::ModuleScope::currentPath().empty()) {
-            span_->arg("module", obs::ModuleScope::currentPath());
-        }
-        if (!primitive_->empty()) {
-            span_->arg("primitive", *primitive_);
-        }
-        start_ = std::chrono::steady_clock::now();
-    }
-}
-
-NodeTimer::~NodeTimer()
-{
-    if (profiler_ != nullptr) {
-        const int64_t ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                               std::chrono::steady_clock::now() - start_)
-                               .count();
-        profiler_->record(name_, obs::ModuleScope::currentPath(), *primitive_,
-                          ns);
-    }
-}
-
 std::vector<Value>
 interpretGraph(const graph::Graph& graph, const std::vector<Value>& inputs,
                Frame* frame)
@@ -263,11 +216,13 @@ interpretGraph(const graph::Graph& graph, const std::vector<Value>& inputs,
         }
     }
 
-    Profiler* prof = Profiler::current();
+    CostRecorder* prof = CostRecorder::current();
 
     for (graph::Node* node : graph.nodes()) {
         const graph::MemPlan::NodeActions* act =
             plan != nullptr ? plan->at(node->id()) : nullptr;
+        // The node's one enable check, shared by its scopes.
+        const int observed = obs::observing();
         switch (node->kind()) {
           case graph::NodeKind::Placeholder:
             break;
@@ -279,7 +234,9 @@ interpretGraph(const graph::Graph& graph, const std::vector<Value>& inputs,
             break;
           }
           case graph::NodeKind::CallOp: {
-            NodeTimer timer(opKindName(node->op()), *node);
+            obs::OpScope scope(
+                opKindName(node->op()), node->provenance().primitive,
+                {.node_id = node->id(), .node = &node->name()}, observed);
             // A .checkpoint(subgraph) node: flag its kernel record (the
             // memory model drops it from activations) and account the
             // region boundary once, at entry nodes.
@@ -374,12 +331,13 @@ interpretGraph(const graph::Graph& graph, const std::vector<Value>& inputs,
                 // Attribute everything the submodule runs to its dotted
                 // path; a leaf module with no graph executes eagerly
                 // with no inner CallOp nodes, so time it as one record.
-                obs::ModuleScope scope(node->target());
-                std::optional<NodeTimer> timer;
-                if (child == nullptr &&
-                    target->meta().traced_graph == nullptr) {
-                    timer.emplace(target->typeName().c_str(), *node);
-                }
+                obs::ModuleScope path(node->target(), observed);
+                const bool eager_leaf = child == nullptr &&
+                                        target->meta().traced_graph == nullptr;
+                obs::OpScope scope(
+                    target->typeName().c_str(), node->provenance().primitive,
+                    {.node_id = node->id(), .node = &node->name()},
+                    eager_leaf ? observed : 0);
                 env.put(node, target->call(ins, child.get()));
             }
             if (prof) prof->endModule();
@@ -389,7 +347,9 @@ interpretGraph(const graph::Graph& graph, const std::vector<Value>& inputs,
             break;
           }
           case graph::NodeKind::FusedOp: {
-            NodeTimer timer(node->name().c_str(), *node);
+            obs::OpScope scope(
+                node->name().c_str(), node->provenance().primitive,
+                {.node_id = node->id(), .node = &node->name()}, observed);
             std::vector<Value> ins;
             for (graph::Node* in : node->inputs()) {
                 ins.push_back(first(in));
@@ -447,7 +407,7 @@ interpretGraph(const graph::Graph& graph, const std::vector<Value>& inputs,
         // timeline event so a memory-over-time view shows *where* in the
         // graph the planner returns storage.
         if (act != nullptr && !act->release_after.empty()) {
-            if (obs::tracingEnabled()) {
+            if (observed & obs::kObserveTrace) {
                 int64_t bytes = 0;
                 for (int64_t id : act->release_after) {
                     for (const Value& v : env.env[id]) {
@@ -465,7 +425,8 @@ interpretGraph(const graph::Graph& graph, const std::vector<Value>& inputs,
             for (int64_t id : act->release_after) {
                 env.env[id].clear();
             }
-            if (obs::memProfilingEnabled() && obs::tracingEnabled()) {
+            if ((observed & obs::kObserveTrace) &&
+                (observed & obs::kObserveMemory)) {
                 obs::traceCounter("mem.live_bytes", obs::memLiveBytes());
             }
         }

@@ -21,18 +21,12 @@
  */
 #pragma once
 
-#include <chrono>
 #include <map>
 #include <memory>
-#include <optional>
-#include <string>
 #include <vector>
 
 #include "graph/graph.h"
 #include "nn/value.h"
-#include "obs/mem_profiler.h"
-#include "obs/profiler.h"
-#include "obs/trace.h"
 
 namespace slapo {
 namespace nn {
@@ -109,47 +103,6 @@ std::vector<Value> interpretGraph(const graph::Graph& graph,
  * interpreter and the autograd engine's checkpoint rematerialization).
  */
 Value interpretOp(const graph::Node& node, const std::vector<Value>& inputs);
-
-/**
- * Per-node observability hook shared by the executor loops (the
- * interpreter and the autograd engine's backward walk): opens a trace
- * span and, on close, folds the elapsed time into the installed
- * OpProfiler under the thread's current module path. Given a node, it
- * also tags the thread for the memory profiler so tensors allocated
- * inside the kernel attribute to this node's id and stamped primitive.
- * Disabled cost is three relaxed atomic loads.
- */
-class NodeTimer
-{
-  public:
-    /** Time `node` as op `op`; `suffix` ".bwd" marks backward rows. */
-    NodeTimer(const char* op, const graph::Node& node,
-              const char* suffix = "");
-
-    /** The `.sync()` collectives at a module's call boundary: op "sync"
-     * + `suffix`, primitive "sync". No graph node runs them, so they
-     * carry no memory tag. */
-    struct Sync
-    {
-        const char* suffix = "";
-    };
-    explicit NodeTimer(Sync sync);
-
-    ~NodeTimer();
-    NodeTimer(const NodeTimer&) = delete;
-    NodeTimer& operator=(const NodeTimer&) = delete;
-
-  private:
-    NodeTimer(const char* op, const char* suffix,
-              const std::string& primitive, const graph::Node* node);
-
-    const std::string* primitive_;
-    std::optional<obs::MemNodeScope> mem_scope_;
-    obs::OpProfiler* profiler_;
-    std::string name_;
-    std::optional<obs::TraceSpan> span_;
-    std::chrono::steady_clock::time_point start_;
-};
 
 } // namespace nn
 } // namespace slapo

@@ -298,7 +298,7 @@ CoreAttention::forward(const std::vector<Value>& inputs)
     Value vh = split_heads(v, {0, 2, 1, 3}); // [B, h, Sk, d]
 
     const double scale = 1.0 / std::sqrt(static_cast<double>(head_dim_));
-    Profiler* prof = Profiler::current();
+    CostRecorder* prof = CostRecorder::current();
     const bool fused_scope =
         fused_softmax_ && prof != nullptr && TracingState::current() == nullptr;
     if (fused_scope) {

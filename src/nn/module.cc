@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <functional>
-#include <optional>
 
 #include "nn/functional.h"
 #include "nn/interpreter.h"
@@ -13,6 +12,9 @@ namespace slapo {
 namespace nn {
 
 namespace {
+
+/** The primitive of the `.sync()` boundary rows. */
+const std::string kSyncPrimitive = "sync";
 
 /** Module types the tracer keeps as CallModule nodes even when
  * flattening (framework-predefined leaves, §3.3). */
@@ -65,7 +67,7 @@ remapGraphModules(graph::Graph* g, const std::map<const Module*, Module*>& map)
 std::vector<Value>
 Module::call(const std::vector<Value>& inputs, Frame* frame)
 {
-    Profiler* prof = Profiler::current();
+    CostRecorder* prof = CostRecorder::current();
     const bool profiling = prof != nullptr && TracingState::current() == nullptr;
     if (profiling) {
         if (meta_.checkpointed) {
@@ -125,15 +127,13 @@ Module::applyForwardSyncs(std::vector<Value> outputs)
     }
     SLAPO_CHECK(outputs.size() == 1,
                 typeName() << ": .sync() requires a single-output module");
-    Profiler* prof = Profiler::current();
+    CostRecorder* prof = CostRecorder::current();
     const bool tracing = TracingState::current() != nullptr;
     // Time the boundary's collectives as their own row, so the step
     // report can separate the cost of aggregation from the sharded
     // compute it follows. While tracing they become graph nodes instead.
-    std::optional<NodeTimer> timer;
-    if (!tracing) {
-        timer.emplace(NodeTimer::Sync{});
-    }
+    obs::OpScope scope("sync", kSyncPrimitive, {},
+                       tracing ? 0 : obs::observing());
     for (const SyncSpec& sync : meta_.syncs) {
         if (sync.direction == SyncDirection::Forward ||
             sync.direction == SyncDirection::Both) {
@@ -438,10 +438,7 @@ Module::initializeParams(uint64_t seed)
             // Tag the materialization for the memory profiler: category
             // Parameter, attributed to the param's own dotted path.
             obs::MemCategoryScope mem_cat(obs::MemCategory::Parameter);
-            std::optional<obs::ModuleScope> mem_path;
-            if (obs::ModuleScope::active()) {
-                mem_path.emplace(path);
-            }
+            obs::ModuleScope mem_path(path);
             *tensor = is_scale ? Tensor::full(tensor->shape(), 1.0f)
                                : Tensor::uniform(tensor->shape(), 0.08f, h);
         }
@@ -458,10 +455,7 @@ Module::cloneInto(Module* dst) const
         // Replica/stage clones carry parameters, not activations.
         obs::MemCategoryScope mem_cat(obs::MemCategory::Parameter);
         for (const auto& [name, tensor] : params_) {
-            std::optional<obs::ModuleScope> mem_path;
-            if (obs::ModuleScope::active()) {
-                mem_path.emplace(name);
-            }
+            obs::ModuleScope mem_path(name);
             dst->params_.emplace_back(name, tensor.clone());
         }
     }
@@ -469,10 +463,7 @@ Module::cloneInto(Module* dst) const
     for (const auto& [name, c] : children_) {
         // Nest a scope per child so cloned parameters register under
         // their full dotted path, not an anonymous blob.
-        std::optional<obs::ModuleScope> mem_path;
-        if (obs::ModuleScope::active()) {
-            mem_path.emplace(name);
-        }
+        obs::ModuleScope mem_path(name);
         dst->children_.emplace_back(name, c->clone());
     }
     dst->meta_ = meta_;

@@ -338,67 +338,41 @@ memCategoryName(MemCategory category)
 
 // --- enablement ----------------------------------------------------------
 
-namespace detail {
-
-std::atomic<int> g_mem_enabled{-1};
-
-namespace {
-std::once_flag g_env_once;
-} // namespace
-
-namespace impl {
-
-void
-probeEnv()
+int
+detail::memProfilingFromEnv()
 {
-    std::call_once(g_env_once, [] {
-        bool on = false;
-        if (const char* env = std::getenv("SLAPO_MEM_PROFILE")) {
-            on = env[0] != '\0' && std::strcmp(env, "0") != 0 &&
-                 std::strcmp(env, "off") != 0;
-        }
-        if (const char* env = std::getenv("SLAPO_MEM_BUDGET")) {
-            if (env[0] != '\0') {
-                const long long bytes = std::atoll(env);
-                if (bytes > 0) {
-                    g_budget.store(bytes, std::memory_order_relaxed);
-                    on = true; // a budget implies watching live bytes
-                }
+    bool on = false;
+    if (const char* env = std::getenv("SLAPO_MEM_PROFILE")) {
+        on = env[0] != '\0' && std::strcmp(env, "0") != 0 &&
+             std::strcmp(env, "off") != 0;
+    }
+    if (const char* env = std::getenv("SLAPO_MEM_BUDGET")) {
+        if (env[0] != '\0') {
+            const long long bytes = std::atoll(env);
+            if (bytes > 0) {
+                g_budget.store(bytes, std::memory_order_relaxed);
+                on = true; // a budget implies watching live bytes
             }
         }
-        if (const char* env = std::getenv("SLAPO_MEM_BUDGET_ACTION")) {
-            g_budget_action.store(std::strcmp(env, "throw") == 0 ? 1 : 0,
-                                  std::memory_order_relaxed);
+    }
+    if (const char* env = std::getenv("SLAPO_MEM_BUDGET_ACTION")) {
+        g_budget_action.store(std::strcmp(env, "throw") == 0 ? 1 : 0,
+                              std::memory_order_relaxed);
+    }
+    if (const char* env = std::getenv("SLAPO_MEM_DUMP")) {
+        if (env[0] != '\0') {
+            std::lock_guard<std::mutex> lock(g_dump_mutex);
+            g_dump_path = env;
+            on = true; // a dump path implies wanting the report
         }
-        if (const char* env = std::getenv("SLAPO_MEM_DUMP")) {
-            if (env[0] != '\0') {
-                std::lock_guard<std::mutex> lock(g_dump_mutex);
-                g_dump_path = env;
-                on = true; // a dump path implies wanting the report
-            }
-        }
-        int expected = -1;
-        g_mem_enabled.compare_exchange_strong(expected, on ? 1 : 0,
-                                              std::memory_order_relaxed);
-    });
+    }
+    return on ? kObserveMemory : 0;
 }
-
-} // namespace impl
-
-bool
-memProfilingEnabledSlow()
-{
-    impl::probeEnv();
-    return g_mem_enabled.load(std::memory_order_relaxed) == 1;
-}
-
-} // namespace detail
 
 void
 setMemProfilingEnabled(bool on)
 {
-    detail::impl::probeEnv(); // settle the env state so it can't overwrite
-    detail::g_mem_enabled.store(on ? 1 : 0, std::memory_order_relaxed);
+    detail::setObserving(kObserveMemory, on);
 }
 
 // --- budget --------------------------------------------------------------
@@ -406,14 +380,14 @@ setMemProfilingEnabled(bool on)
 int64_t
 memBudgetBytes()
 {
-    detail::impl::probeEnv();
+    (void)observing(); // settle the environment probe
     return g_budget.load(std::memory_order_relaxed);
 }
 
 void
 setMemBudget(int64_t bytes, MemBudgetAction action)
 {
-    detail::impl::probeEnv();
+    (void)observing(); // settle the environment probe
     g_budget.store(bytes < 0 ? -1 : bytes, std::memory_order_relaxed);
     g_budget_action.store(action == MemBudgetAction::Throw ? 1 : 0,
                           std::memory_order_relaxed);
@@ -425,7 +399,7 @@ setMemBudget(int64_t bytes, MemBudgetAction action)
 void
 setMemDumpPath(const std::string& path)
 {
-    detail::impl::probeEnv();
+    (void)observing(); // settle the environment probe
     std::lock_guard<std::mutex> lock(g_dump_mutex);
     g_dump_path = path;
 }

@@ -48,10 +48,11 @@
  */
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "obs/trace.h"
 
 namespace slapo {
 namespace obs {
@@ -72,28 +73,18 @@ constexpr int kNumMemCategories = 6;
 /** Lower-case stable name ("parameter", "optimizer_state", ...). */
 const char* memCategoryName(MemCategory category);
 
-// --- enablement (one-relaxed-atomic pattern, see obs/trace.h) -----------
-
-namespace detail {
-extern std::atomic<int> g_mem_enabled; ///< -1 = probe env, 0 = off, 1 = on
-/** One-time SLAPO_MEM_PROFILE / SLAPO_MEM_BUDGET environment probe. */
-bool memProfilingEnabledSlow();
-} // namespace detail
+// --- enablement (a bit of obs::observing(), see obs/trace.h) ------------
 
 /**
  * True while the live-tensor registry is recording. The disabled fast
  * path — what every TensorStorage construction/destruction pays — is a
- * single relaxed atomic load. First calls probe `SLAPO_MEM_PROFILE=1`
+ * single relaxed atomic load. The first call probes `SLAPO_MEM_PROFILE=1`
  * plus the budget/dump variables (any of which auto-enable).
  */
 inline bool
 memProfilingEnabled()
 {
-    const int state = detail::g_mem_enabled.load(std::memory_order_relaxed);
-    if (state >= 0) {
-        return state == 1;
-    }
-    return detail::memProfilingEnabledSlow();
+    return (observing() & kObserveMemory) != 0;
 }
 
 /** Programmatic switch (overrides the environment probe). Enabling does

@@ -1,6 +1,7 @@
 #include "obs/profiler.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -9,8 +10,7 @@
 #include <sstream>
 #include <tuple>
 
-#include "obs/mem_profiler.h"
-#include "obs/trace.h"
+#include "support/error.h"
 
 namespace slapo {
 namespace obs {
@@ -44,9 +44,6 @@ bucketUpperBound(int bucket)
     const int sub = bucket % kSubBuckets;
     return ((static_cast<int64_t>(sub) + 5) << (octave - 2)) - 1;
 }
-
-std::atomic<OpProfiler*> g_current{nullptr};
-std::once_flag g_env_once;
 
 std::string
 formatUs(double ns)
@@ -82,26 +79,8 @@ OpProfiler::~OpProfiler()
 
 void
 OpProfiler::record(const std::string& op, const std::string& module_path,
-                   int64_t duration_ns)
-{
-    record(op, module_path, std::string(), duration_ns);
-}
-
-namespace {
-thread_local int64_t t_recorded_ns = 0;
-} // namespace
-
-int64_t
-OpProfiler::threadRecordedNs()
-{
-    return t_recorded_ns;
-}
-
-void
-OpProfiler::record(const std::string& op, const std::string& module_path,
                    const std::string& primitive, int64_t duration_ns)
 {
-    t_recorded_ns += duration_ns;
     std::lock_guard<std::mutex> lock(impl_->mutex);
     Impl::Agg& agg = impl_->aggs[{op, module_path, primitive}];
     ++agg.count;
@@ -220,57 +199,105 @@ OpProfiler::clear()
     impl_->aggs.clear();
 }
 
-OpProfiler*
-OpProfiler::current()
+namespace {
+
+/** The installed profilers. The fan-out holds the mutex, so removing a
+ * profiler waits out any thread still recording into it. */
+struct Profilers
 {
-    OpProfiler* p = g_current.load(std::memory_order_relaxed);
-    if (p != nullptr) {
-        return p;
-    }
-    // One-time environment probe: SLAPO_OP_PROFILE=1 (table to stderr at
-    // exit) or SLAPO_OP_PROFILE=report.json (JSON file at exit).
-    std::call_once(g_env_once, [] {
-        const char* env = std::getenv("SLAPO_OP_PROFILE");
-        if (env == nullptr || env[0] == '\0') {
-            return;
-        }
-        static OpProfiler* profiler = new OpProfiler();
-        static std::string out = env;
-        g_current.store(profiler, std::memory_order_relaxed);
-        std::atexit([] {
-            if (out == "1") {
-                std::fputs(profiler->table().c_str(), stderr);
-            } else {
-                if (std::FILE* f = std::fopen(out.c_str(), "wb")) {
-                    const std::string json = profiler->toJson();
-                    std::fwrite(json.data(), 1, json.size(), f);
-                    std::fputc('\n', f);
-                    std::fclose(f);
-                }
-            }
-        });
-    });
-    return g_current.load(std::memory_order_relaxed);
+    std::mutex mutex;
+    std::vector<OpProfiler*> list;
+};
+
+Profilers&
+profilers()
+{
+    static Profilers* p = new Profilers(); // leaked: used at exit
+    return *p;
 }
 
-OpProfilerGuard::OpProfilerGuard(OpProfiler* profiler)
-    : previous_(g_current.load(std::memory_order_relaxed))
+/** Nanoseconds this thread's closed rows have recorded: a self-time
+ * scope's nested time is the change across it. */
+thread_local int64_t t_recorded_ns = 0;
+thread_local std::string t_module_path;
+
+int64_t
+nowNs()
 {
-    g_current.store(profiler, std::memory_order_relaxed);
+    return std::chrono::duration_cast<std::chrono::nanoseconds>(
+               std::chrono::steady_clock::now().time_since_epoch())
+        .count();
+}
+
+} // namespace
+
+int
+detail::opProfilerFromEnv()
+{
+    // SLAPO_OP_PROFILE=1 (table to stderr at exit) or
+    // SLAPO_OP_PROFILE=report.json (JSON file at exit).
+    const char* env = std::getenv("SLAPO_OP_PROFILE");
+    if (env == nullptr || env[0] == '\0') {
+        return 0;
+    }
+    static OpProfiler* profiler = new OpProfiler();
+    static std::string out = env;
+    {
+        Profilers& p = profilers();
+        std::lock_guard<std::mutex> lock(p.mutex);
+        p.list.push_back(profiler); // installed for the whole process
+    }
+    std::atexit([] {
+        if (out == "1") {
+            std::fputs(profiler->table().c_str(), stderr);
+        } else if (std::FILE* f = std::fopen(out.c_str(), "wb")) {
+            const std::string json = profiler->toJson();
+            std::fwrite(json.data(), 1, json.size(), f);
+            std::fputc('\n', f);
+            std::fclose(f);
+        }
+    });
+    return kObserveProfile;
+}
+
+OpProfilerGuard::OpProfilerGuard(OpProfiler* profiler) : profiler_(profiler)
+{
+    (void)observing(); // SLAPO_OP_PROFILE's profiler joins the list first
+    Profilers& p = profilers();
+    std::lock_guard<std::mutex> lock(p.mutex);
+    SLAPO_CHECK(profiler != nullptr &&
+                    std::find(p.list.begin(), p.list.end(), profiler) ==
+                        p.list.end(),
+                "OpProfilerGuard: null or already-installed profiler");
+    p.list.push_back(profiler);
+    detail::setObserving(kObserveProfile, true);
 }
 
 OpProfilerGuard::~OpProfilerGuard()
 {
-    g_current.store(previous_, std::memory_order_relaxed);
+    Profilers& p = profilers();
+    std::lock_guard<std::mutex> lock(p.mutex);
+    p.list.erase(std::find(p.list.begin(), p.list.end(), profiler_));
+    if (p.list.empty()) {
+        detail::setObserving(kObserveProfile, false);
+    }
 }
 
-namespace {
-thread_local std::string t_module_path;
-} // namespace
-
-ModuleScope::ModuleScope(const std::string& name) : restore_len_(SIZE_MAX)
+void
+profileOp(const std::string& op, const std::string& module_path,
+          const std::string& primitive, int64_t duration_ns)
 {
-    if (!active()) {
+    t_recorded_ns += duration_ns;
+    Profilers& p = profilers();
+    std::lock_guard<std::mutex> lock(p.mutex);
+    for (OpProfiler* profiler : p.list) {
+        profiler->record(op, module_path, primitive, duration_ns);
+    }
+}
+
+ModuleScope::ModuleScope(const std::string& name, int observed)
+{
+    if (observed == 0) {
         return;
     }
     restore_len_ = t_module_path.size();
@@ -293,11 +320,66 @@ ModuleScope::currentPath()
     return t_module_path;
 }
 
-bool
-ModuleScope::active()
+void
+OpScope::open(const char* op, const std::string& primitive,
+              const OpSite& site, int observed)
 {
-    return OpProfiler::current() != nullptr || tracingEnabled() ||
-           memProfilingEnabled();
+    // A remainder row is only a row: no span, no memory tag.
+    observed_ = site.self_time ? observed & kObserveProfile : observed;
+    primitive_ = &primitive;
+    module_ = site.module;
+    self_time_ = site.self_time;
+    if (site.node_id >= 0 && (observed_ & kObserveMemory)) {
+        mem_.emplace(site.node_id, primitive_);
+    }
+    if (observed_ & (kObserveTrace | kObserveProfile)) {
+        name_ = op;
+        name_ += site.suffix;
+    }
+    if (observed_ & kObserveTrace) {
+        span_.emplace(site.span != nullptr ? std::string(site.span) : name_,
+                      site.category);
+        if (site.node != nullptr) {
+            span_->arg("node", *site.node);
+        }
+        const std::string& module =
+            module_ != nullptr ? *module_ : ModuleScope::currentPath();
+        if (!module.empty()) {
+            span_->arg("module", module);
+        }
+        if (!primitive.empty()) {
+            span_->arg("primitive", primitive);
+        }
+    }
+    if (observed_ & kObserveProfile) {
+        nested_before_ns_ = t_recorded_ns;
+        start_ns_ = nowNs();
+    }
+}
+
+int64_t
+OpScope::elapsedNs() const
+{
+    return (observed_ & kObserveProfile) ? nowNs() - start_ns_ : -1;
+}
+
+void
+OpScope::close()
+{
+    if (!(observed_ & kObserveProfile)) {
+        return;
+    }
+    int64_t ns = nowNs() - start_ns_;
+    if (self_time_) {
+        // A FusedOp's row nests its inner ops' rows, so the remainder
+        // may come out negative; only a positive gap is a real cost.
+        ns -= t_recorded_ns - nested_before_ns_;
+        if (ns <= 0) {
+            return;
+        }
+    }
+    profileOp(name_, module_ != nullptr ? *module_ : ModuleScope::currentPath(),
+              *primitive_, ns);
 }
 
 } // namespace obs

@@ -17,7 +17,8 @@
  * Cost discipline: when step reports are disabled (the default), the
  * trainers pay one relaxed atomic load per step — nothing else changes.
  * When enabled (`SLAPO_STEP_REPORT=reports.jsonl` or
- * `setStepReportsEnabled(true)`), each step installs an OpProfiler,
+ * `setStepReportsEnabled(true)`), each step's report collects its rows
+ * next to any other installed profiler (a user's, SLAPO_OP_PROFILE's),
  * which adds the per-node record cost documented in
  * docs/OBSERVABILITY.md (~100–200 ns per executed graph node).
  */
@@ -132,9 +133,10 @@ StepReport buildStepReport(
     int64_t wall_ns, int world_size, int64_t step);
 
 /**
- * RAII per-step collection: installs a fresh OpProfiler and opens a
- * metrics window at construction; finish() closes both and builds the
- * report. Used by the trainers when stepReportsEnabled().
+ * RAII per-step collection: at construction, installs a fresh
+ * OpProfiler (next to any already installed) and opens a metrics
+ * window; finish() builds the report from both. Used by the trainers
+ * when stepReportsEnabled().
  */
 class StepReportBuilder
 {

@@ -59,8 +59,6 @@ registry()
     return *r;
 }
 
-std::once_flag g_env_once;
-
 /** The calling thread's buffer, registered on first use and kept alive
  * by the registry even after the thread exits. */
 ThreadBuffer&
@@ -172,25 +170,60 @@ emitMetadata(std::string& out, int pid, int tid, const char* kind,
     out += ",\"args\":{\"name\":" + jsonString(label.c_str()) + "}}";
 }
 
+/** Clear the recorded events and restart the clock; `path` is where the
+ * trace goes when it stops. */
+void
+resetRecorder(const std::string& path)
+{
+    Registry& r = registry();
+    std::lock_guard<std::mutex> lock(r.mutex);
+    r.path = path;
+    r.epoch_ns.store(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now().time_since_epoch())
+            .count(),
+        std::memory_order_relaxed);
+    for (auto& buffer : r.buffers) {
+        std::lock_guard<std::mutex> blk(buffer->mutex);
+        buffer->events.clear();
+    }
+}
+
+std::once_flag g_env_once;
+
 } // namespace
 
 namespace detail {
 
-std::atomic<bool> g_tracing{false};
+std::atomic<int> g_observing{-1};
 
-bool
-tracingEnabledSlow()
+int
+observingSlow()
 {
-    // First query also gets a chance to arm from the environment, mirroring
-    // failpoint::configureFromEnv.
+    // Every consumer arms from the environment in this one probe, so
+    // each later disabled check is the single load in observing().
     std::call_once(g_env_once, [] {
+        int bits = opProfilerFromEnv() | memProfilingFromEnv();
         const char* env = std::getenv("SLAPO_TRACE");
         if (env != nullptr && env[0] != '\0') {
-            startTracing(env);
+            resetRecorder(env);
             std::atexit([] { stopTracing(); });
+            bits |= kObserveTrace;
         }
+        g_observing.store(bits, std::memory_order_relaxed);
     });
-    return g_tracing.load(std::memory_order_relaxed);
+    return g_observing.load(std::memory_order_relaxed);
+}
+
+void
+setObserving(int bit, bool on)
+{
+    (void)observing(); // settle the probe so it cannot overwrite the bit
+    if (on) {
+        g_observing.fetch_or(bit, std::memory_order_relaxed);
+    } else {
+        g_observing.fetch_and(~bit, std::memory_order_relaxed);
+    }
 }
 
 } // namespace detail
@@ -198,30 +231,18 @@ tracingEnabledSlow()
 void
 startTracing(const std::string& path)
 {
-    Registry& r = registry();
-    {
-        std::lock_guard<std::mutex> lock(r.mutex);
-        r.path = path;
-        r.epoch_ns.store(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now().time_since_epoch())
-                .count(),
-            std::memory_order_relaxed);
-        for (auto& buffer : r.buffers) {
-            std::lock_guard<std::mutex> blk(buffer->mutex);
-            buffer->events.clear();
-        }
-    }
-    detail::g_tracing.store(true, std::memory_order_relaxed);
+    (void)observing(); // probe first: SLAPO_TRACE must not replace `path`
+    resetRecorder(path);
+    detail::setObserving(kObserveTrace, true);
 }
 
 int64_t
 stopTracing()
 {
-    if (!detail::g_tracing.load(std::memory_order_relaxed)) {
+    if (!tracingEnabled()) {
         return 0;
     }
-    detail::g_tracing.store(false, std::memory_order_relaxed);
+    detail::setObserving(kObserveTrace, false);
     Registry& r = registry();
     std::string path;
     int64_t events = 0;
@@ -294,7 +315,7 @@ writeTrace(const std::string& path)
 int64_t
 flushTrace()
 {
-    if (!detail::g_tracing.load(std::memory_order_relaxed)) {
+    if (!tracingEnabled()) {
         return 0;
     }
     Registry& r = registry();

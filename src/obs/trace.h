@@ -12,12 +12,12 @@
  *
  * Recording discipline (same as support/failpoint.h): when tracing is
  * disabled the entire cost of an instrumented site is ONE relaxed atomic
- * load (`tracingEnabled()`), so instrumentation can stay in hot loops
- * permanently. When enabled, each thread appends finished spans to its
- * own buffer — there is no shared lock on the recording path; a
- * per-buffer mutex (uncontended: only the owning thread records, only
- * the dump takes it) makes concurrent dump/record well-defined under
- * TSan.
+ * load (`tracingEnabled()`, a bit of `observing()`), so instrumentation
+ * can stay in hot loops permanently. When enabled, each thread appends
+ * finished spans to its own buffer — there is no shared lock on the
+ * recording path; a per-buffer mutex (uncontended: only the owning
+ * thread records, only the dump takes it) makes concurrent dump/record
+ * well-defined under TSan.
  *
  * Enabling:
  *   - `SLAPO_TRACE=out.json` in the environment: tracing starts at the
@@ -38,24 +38,42 @@
 namespace slapo {
 namespace obs {
 
+/** The measurement consumers, one bit each of observing(). */
+enum Observer : int
+{
+    kObserveTrace = 1,   ///< a trace is recording
+    kObserveProfile = 2, ///< at least one OpProfiler is installed
+    kObserveMemory = 4,  ///< the memory profiler is on
+};
+
 namespace detail {
-extern std::atomic<bool> g_tracing;
-/** One-time SLAPO_TRACE environment probe (called by tracingEnabled). */
-bool tracingEnabledSlow();
+extern std::atomic<int> g_observing; ///< -1 until the probe has run
+/** The one-time probe of SLAPO_TRACE, SLAPO_OP_PROFILE and SLAPO_MEM_*. */
+int observingSlow();
+/** Its parts: arm a consumer from the environment, return its bit. */
+int opProfilerFromEnv();
+int memProfilingFromEnv();
+/** Turn a consumer's bit on or off. */
+void setObserving(int bit, bool on);
 } // namespace detail
 
 /**
- * True while a trace is being recorded. The disabled fast path is a
- * single relaxed atomic load; the first few calls also probe the
- * SLAPO_TRACE environment variable (once per process).
+ * Which consumers are on, as Observer bits (0 = none): the one check
+ * every instrumented site makes. One relaxed atomic load once the
+ * first call has probed the environment.
  */
+inline int
+observing()
+{
+    const int bits = detail::g_observing.load(std::memory_order_relaxed);
+    return bits >= 0 ? bits : detail::observingSlow();
+}
+
+/** True while a trace is being recorded (one relaxed atomic load). */
 inline bool
 tracingEnabled()
 {
-    if (detail::g_tracing.load(std::memory_order_relaxed)) {
-        return true;
-    }
-    return detail::tracingEnabledSlow();
+    return (observing() & kObserveTrace) != 0;
 }
 
 /**

@@ -1,7 +1,6 @@
 #include "runtime/autograd.h"
 
 #include <algorithm>
-#include <chrono>
 #include <functional>
 
 #include "graph/memplan.h"
@@ -26,6 +25,9 @@ using nn::SyncSpec;
 using nn::Value;
 
 namespace {
+
+const std::string kSyncPrimitive = "sync";
+const std::string kBaseline = "baseline";
 
 /**
  * The backward half of a module's `.sync()` points: the conjugate of a
@@ -210,7 +212,7 @@ AutogradEngine::backwardModule(Module& module, nn::Frame& frame,
     for (auto it = syncs.rbegin(); it != syncs.rend(); ++it) {
         if (it->direction != SyncDirection::Backward &&
             it->kind != SyncKind::AllReduce) {
-            nn::NodeTimer sync_timer(nn::NodeTimer::Sync{".bwd"});
+            obs::OpScope scope("sync.bwd", kSyncPrimitive);
             out_grads[0] = collectiveBackward(
                 it->kind == SyncKind::AllGather ? OpKind::AllGather
                                                 : OpKind::ReduceScatter,
@@ -219,7 +221,7 @@ AutogradEngine::backwardModule(Module& module, nn::Frame& frame,
     }
     std::vector<Tensor> grads = backwardGraph(frame, out_grads);
     if (!grads.empty() && !syncs.empty() && grads[0].materialized()) {
-        nn::NodeTimer sync_timer(nn::NodeTimer::Sync{".bwd"});
+        obs::OpScope scope("sync.bwd", kSyncPrimitive);
         grads[0] = applyBackwardSyncs(syncs, grads[0]);
     }
     return grads;
@@ -294,7 +296,7 @@ AutogradEngine::backwardGraph(nn::Frame& frame,
     // instead of at frame destruction. Purely a lifetime change: results
     // are bit-identical with the release on or off.
     const bool release_tape = graph::memPlanEnabled();
-    auto release_node = [&](Node* node) {
+    auto release_node = [&](Node* node, int observed) {
         if (!release_tape) {
             return;
         }
@@ -304,7 +306,8 @@ AutogradEngine::backwardGraph(nn::Frame& frame,
         // Tape release points on the timeline: sample the tagged live
         // level so the memory-over-time track shows the backward walk
         // draining the forward tape.
-        if (obs::tracingEnabled() && obs::memProfilingEnabled()) {
+        if ((observed & obs::kObserveTrace) &&
+            (observed & obs::kObserveMemory)) {
             obs::traceCounter("mem.live_bytes", obs::memLiveBytes());
         }
     };
@@ -314,8 +317,11 @@ AutogradEngine::backwardGraph(nn::Frame& frame,
         if (node->kind() == NodeKind::Output) {
             continue;
         }
+        // The node's one enable check, shared by its scopes.
+        const int observed = obs::observing();
         if (gslots[node->id()].empty()) {
-            release_node(node); // dead branch: its activation is dead too
+            // Dead branch: its activation is dead too.
+            release_node(node, observed);
             continue;
         }
         // Materialize missing output slots as zeros.
@@ -343,7 +349,12 @@ AutogradEngine::backwardGraph(nn::Frame& frame,
             break;
           }
           case NodeKind::CallOp: {
-            nn::NodeTimer timer(opKindName(node->op()), *node, ".bwd");
+            obs::OpScope scope(opKindName(node->op()),
+                               node->provenance().primitive,
+                               {.suffix = ".bwd",
+                                .node_id = node->id(),
+                                .node = &node->name()},
+                               observed);
             std::vector<Tensor> x;
             for (const Node* in : node->inputs()) {
                 x.push_back(value(in));
@@ -381,7 +392,7 @@ AutogradEngine::backwardGraph(nn::Frame& frame,
                     static_cast<int64_t>(child_graph.size());
                 child_frame = recomputed.get();
             }
-            obs::ModuleScope scope(node->target());
+            obs::ModuleScope path(node->target(), observed);
             std::vector<Tensor> child_in_grads =
                 backwardModule(*child, *child_frame, slots);
             for (size_t i = 0; i < child_in_grads.size(); ++i) {
@@ -409,7 +420,7 @@ AutogradEngine::backwardGraph(nn::Frame& frame,
           case NodeKind::Output:
             break;
         }
-        release_node(node);
+        release_node(node, observed);
     }
 
     // Inputs that never received a gradient (e.g. integer id tensors) get
@@ -440,14 +451,11 @@ AutogradEngine::accumulateParamGrad(const Tensor& param, const Tensor& grad)
 GradResult
 AutogradEngine::run(Module& model, const std::vector<Tensor>& inputs)
 {
-    // The per-node timers below account for op execution; everything
-    // else inside run() — tracing, tape construction, grad-map
-    // bookkeeping — would otherwise vanish into the step report's
-    // "other" bucket. Measure the remainder and report it explicitly
-    // so attribution covers the engine's own cost too.
-    obs::OpProfiler* prof = obs::OpProfiler::current();
-    const int64_t recorded_before = obs::OpProfiler::threadRecordedNs();
-    const auto run_start = std::chrono::steady_clock::now();
+    // The node scopes account for op execution; everything else inside
+    // run() (tracing, tape construction, grad-map bookkeeping) would
+    // otherwise vanish into the step report's "other" bucket, so the
+    // engine reports that remainder as its own row.
+    obs::OpScope overhead("engine.overhead", kBaseline, {.self_time = true});
 
     result_ = GradResult{};
     std::vector<Value> values;
@@ -476,21 +484,6 @@ AutogradEngine::run(Module& model, const std::vector<Tensor>& inputs)
         obs::TraceSpan bwd_span("autograd.backward", "autograd");
         result_.input_grads =
             backwardModule(model, frame, {Tensor::full({1}, 1.0f)});
-    }
-    if (prof != nullptr) {
-        const int64_t wall = std::chrono::duration_cast<
-                                 std::chrono::nanoseconds>(
-                                 std::chrono::steady_clock::now() - run_start)
-                                 .count();
-        const int64_t attributed =
-            obs::OpProfiler::threadRecordedNs() - recorded_before;
-        // A FusedOp's timer nests its inner ops' timers, so the
-        // remainder may come out negative; only a positive gap is a real
-        // unattributed cost.
-        if (wall > attributed) {
-            prof->record("engine.overhead", "", "baseline",
-                         wall - attributed);
-        }
     }
     return result_;
 }

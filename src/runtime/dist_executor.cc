@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <exception>
-#include <optional>
 #include <thread>
 
 #include "analysis/lint.h"
@@ -14,6 +13,10 @@
 
 namespace slapo {
 namespace runtime {
+
+namespace {
+const std::string kBaseline = "baseline";
+} // namespace
 
 DistExecutor::DistExecutor(int world_size, ProcessGroupOptions options)
     : world_size_(world_size), group_(world_size, options)
@@ -31,10 +34,8 @@ DistExecutor::shardParamsForRank(nn::Module& replica, int rank, int world_size)
         for (const auto& [pname, spec] : module->meta().sharded_params) {
             // Register the slice under its full dotted path so the
             // provenance prefix lookup resolves it to .shard().
-            std::optional<obs::ModuleScope> mem_path;
-            if (obs::ModuleScope::active()) {
-                mem_path.emplace(path.empty() ? pname : path + "." + pname);
-            }
+            obs::ModuleScope mem_path(path.empty() ? pname
+                                                   : path + "." + pname);
             SLAPO_CHECK(spec.world_size == world_size,
                         "shard spec world size " << spec.world_size
                                                  << " != executor world "
@@ -131,27 +132,13 @@ DistExecutor::run(const std::vector<nn::ModulePtr>& replicas, const RankFn& fn)
                 if (span.live()) {
                     span.arg("rank", static_cast<int64_t>(r));
                 }
-                // Account for rank-body time the op timers below don't
-                // see (engine setup/teardown, user loop code) so step
-                // reports attribute the whole body, not just its ops.
-                obs::OpProfiler* prof = obs::OpProfiler::current();
-                const int64_t recorded_before =
-                    obs::OpProfiler::threadRecordedNs();
-                const auto body_start = std::chrono::steady_clock::now();
+                // Rank-body time the scopes inside do not see (engine
+                // set-up and teardown, user loop code) is the body's own
+                // row, so step reports attribute the whole body.
+                obs::OpScope body("executor.body", kBaseline,
+                                  {.self_time = true});
                 fn(r, *replicas[r], group_);
-                if (prof != nullptr) {
-                    const int64_t wall =
-                        std::chrono::duration_cast<std::chrono::nanoseconds>(
-                            std::chrono::steady_clock::now() - body_start)
-                            .count();
-                    body_walls[r] = wall;
-                    const int64_t attributed =
-                        obs::OpProfiler::threadRecordedNs() - recorded_before;
-                    if (wall > attributed) {
-                        prof->record("executor.body", "", "baseline",
-                                     wall - attributed);
-                    }
-                }
+                body_walls[r] = body.elapsedNs();
             } catch (const support::failpoint::RankLostError& e) {
                 errors[r] = std::current_exception();
                 // Permanent loss: mark the rank gone (survives the
@@ -175,16 +162,13 @@ DistExecutor::run(const std::vector<nn::ModulePtr>& replicas, const RankFn& fn)
     // its body started, join wait after it finished — as executor
     // overhead. One row per rank so the step report's per-rank mean
     // (profiler totals / world size) covers the full run() wall.
-    if (obs::OpProfiler* prof = obs::OpProfiler::current()) {
-        const int64_t run_wall =
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - run_start)
-                .count();
-        for (int64_t body : body_walls) {
-            if (body >= 0 && run_wall > body) {
-                prof->record("executor.spawn", "", "baseline",
-                             run_wall - body);
-            }
+    const int64_t run_wall =
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - run_start)
+            .count();
+    for (int64_t body : body_walls) {
+        if (body >= 0 && run_wall > body) {
+            obs::profileOp("executor.spawn", "", kBaseline, run_wall - body);
         }
     }
     // Rethrow the *originating* failure: a non-CollectiveError if any

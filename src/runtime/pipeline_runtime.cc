@@ -20,6 +20,8 @@ namespace runtime {
 
 namespace {
 
+const std::string kPipelineSplit = "pipeline_split";
+
 /** Bounded MPSC queue of micro-batch tuples between two stages. */
 class TupleQueue
 {
@@ -154,6 +156,7 @@ PipelineRuntime::forward(const std::vector<std::vector<Tensor>>& micro_batches)
             // Memory profiler: attribute this worker's allocations to
             // its pipeline stage (separate "rank" track per stage).
             obs::setMemThreadRank(static_cast<int>(s));
+            const std::string stage_path = "stage" + std::to_string(s);
             int64_t micro_index = 0;
             try {
                 while (auto tuple = timedPop(*queues[s])) {
@@ -175,31 +178,20 @@ PipelineRuntime::forward(const std::vector<std::vector<Tensor>>& micro_batches)
                     }
                     std::vector<nn::Value> outputs;
                     {
-                        obs::TraceSpan body_span("stage.run", "pipeline");
-                        if (body_span.live()) {
-                            body_span.arg("stage", static_cast<int64_t>(s));
-                            body_span.arg("micro_batch", micro_index);
-                        }
                         // Stage bodies run through Module::call, below
-                        // the graph interpreter's per-node timers, so
-                        // record the stage itself — attributed to the
+                        // the graph interpreter's per-node scopes, so
+                        // time the stage itself: attributed to the
                         // pipeline_split primitive that created the
                         // boundary (docs/OBSERVABILITY.md).
-                        obs::OpProfiler* prof = obs::OpProfiler::current();
-                        const auto body_start =
-                            std::chrono::steady_clock::now();
-                        outputs = stages_[s]->call(values);
-                        if (prof != nullptr) {
-                            const int64_t ns =
-                                std::chrono::duration_cast<
-                                    std::chrono::nanoseconds>(
-                                    std::chrono::steady_clock::now() -
-                                    body_start)
-                                    .count();
-                            prof->record("pipeline.stage",
-                                         "stage" + std::to_string(s),
-                                         "pipeline_split", ns);
+                        obs::OpScope stage("pipeline.stage", kPipelineSplit,
+                                           {.span = "stage.run",
+                                            .category = "pipeline",
+                                            .module = &stage_path});
+                        if (obs::TraceSpan* span = stage.span()) {
+                            span->arg("stage", static_cast<int64_t>(s));
+                            span->arg("micro_batch", micro_index);
                         }
+                        outputs = stages_[s]->call(values);
                     }
                     ++micro_index;
                     std::vector<Tensor> next;

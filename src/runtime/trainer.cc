@@ -8,9 +8,8 @@
 #include <exception>
 #include <filesystem>
 #include <thread>
-#include <utility>
-
 #include <optional>
+#include <utility>
 
 #include "obs/mem_profiler.h"
 #include "obs/metrics.h"
@@ -34,6 +33,68 @@ msSince(StepClock::time_point t0)
                StepClock::now() - t0)
         .count();
 }
+
+const std::string kBaseline = "baseline";
+const std::string kDataParallel = "data_parallel";
+
+/**
+ * What both trainers observe over one step: its wall time, the step
+ * report's window (when step reports are on; disabled cost is the one
+ * relaxed atomic load in stepReportsEnabled) and the in-step memory
+ * window (when the memory profiler is on).
+ */
+struct StepWindows
+{
+    explicit StepWindows(int world) : world_size(world)
+    {
+        if (obs::stepReportsEnabled()) {
+            report.emplace(world);
+        }
+        if (obs::memProfilingEnabled()) {
+            mem.emplace();
+        }
+    }
+
+    /**
+     * Append the run-log step record of optimizer step `step`. When step
+     * reports are on, build the step's report into `out` and return
+     * true; the caller adds to it and writes it.
+     */
+    bool
+    finish(int64_t step, const TrainStepStats& stats, obs::StepReport& out)
+    {
+        if (obs::RunLog* log = obs::runLog()) {
+            obs::StepRecord record;
+            record.step = step;
+            record.loss = stats.loss;
+            record.grad_norm = stats.grad_norm;
+            record.micro_batches = stats.micro_batches;
+            record.tokens = stats.tokens;
+            record.step_ms = msSince(start);
+            if (mem && mem->active()) {
+                record.mem_peak_bytes = mem->peakBytes();
+                record.mem_live_bytes = obs::memLiveBytes();
+                record.mem_retained_bytes =
+                    obs::metrics().alloc_pooled_bytes.get();
+                record.mem_categories_json = mem->categoriesJson();
+            } else {
+                record.mem_peak_bytes = obs::metrics().tensor_live_bytes.peak();
+            }
+            record.world_size = world_size;
+            log->logStep(record);
+        }
+        if (!report) {
+            return false;
+        }
+        out = report->finish(step);
+        return true;
+    }
+
+    int world_size;
+    StepClock::time_point start = StepClock::now();
+    std::optional<obs::StepReportBuilder> report;
+    std::optional<obs::MemWindow> mem;
+};
 
 /**
  * Gradient-allreduce bucket size in bytes. SLAPO_BUCKET_BYTES overrides
@@ -377,19 +438,7 @@ Trainer::step(const std::vector<std::vector<Tensor>>& micro_batches)
     support::failpoint::hit("trainer.step");
     SLAPO_CHECK(!micro_batches.empty(), "Trainer: no micro-batches");
     obs::TraceSpan step_span("trainer.step", "trainer");
-    const auto step_start = StepClock::now();
-    // Attribution window: a fresh profiler + metrics window per step.
-    // Disabled cost is the one relaxed atomic load in stepReportsEnabled.
-    std::optional<obs::StepReportBuilder> report_builder;
-    if (obs::stepReportsEnabled()) {
-        report_builder.emplace(/*world_size=*/1);
-    }
-    // In-step memory window: peak + per-category bytes at the peak for
-    // the run-log step record. No-op unless memProfilingEnabled().
-    std::optional<obs::MemWindow> mem_window;
-    if (obs::memProfilingEnabled()) {
-        mem_window.emplace();
-    }
+    StepWindows windows(/*world=*/1);
     TrainStepStats stats;
     stats.micro_batches = static_cast<int64_t>(micro_batches.size());
     stats.tokens = countTokens(micro_batches);
@@ -409,8 +458,10 @@ Trainer::step(const std::vector<std::vector<Tensor>>& micro_batches)
             std::max(stats.stored_activation_bytes,
                      result.stored_activation_bytes);
         stats.recomputed_nodes += result.recomputed_nodes;
-        obs::OpProfiler* prof = obs::OpProfiler::current();
-        const auto reduce_start = StepClock::now();
+        // Gradient extraction / accumulation across micro-batches is
+        // unscheduled trainer work: attribute it to baseline so step
+        // reports cover it instead of leaving it in "other".
+        obs::OpScope reduce("grad.reduce", kBaseline, {.category = "trainer"});
         if (grads.empty()) {
             for (auto& [path, tensor] : params_) {
                 grads.push_back(AutogradEngine::gradFor(result, *tensor));
@@ -421,19 +472,9 @@ Trainer::step(const std::vector<std::vector<Tensor>>& micro_batches)
                     AutogradEngine::gradFor(result, *params_[i].second));
             }
         }
-        if (prof != nullptr) {
-            // Gradient extraction / accumulation across micro-batches is
-            // unscheduled trainer work: attribute it to baseline so step
-            // reports cover it instead of leaving it in "other".
-            prof->record("grad.reduce", "", "baseline",
-                         std::chrono::duration_cast<std::chrono::nanoseconds>(
-                             StepClock::now() - reduce_start)
-                             .count());
-        }
     }
     {
-        obs::OpProfiler* prof = obs::OpProfiler::current();
-        const auto reduce_start = StepClock::now();
+        obs::OpScope reduce("grad.reduce", kBaseline, {.category = "trainer"});
         if (micro_batches.size() > 1) {
             // Averaging one micro-batch would multiply by 1.0f: no bit
             // changes, so skip the pass over every gradient.
@@ -443,49 +484,16 @@ Trainer::step(const std::vector<std::vector<Tensor>>& micro_batches)
             }
         }
         stats.grad_norm = globalGradNorm(grads);
-        if (prof != nullptr) {
-            prof->record("grad.reduce", "", "baseline",
-                         std::chrono::duration_cast<std::chrono::nanoseconds>(
-                             StepClock::now() - reduce_start)
-                             .count());
-        }
     }
     {
-        obs::TraceSpan optim_span("trainer.optim", "trainer");
-        obs::OpProfiler* prof = obs::OpProfiler::current();
-        const auto optim_start = StepClock::now();
+        // Unscheduled step work: attribute explicitly to baseline so the
+        // report's coverage includes the optimizer.
+        obs::OpScope optim("optimizer.step", kBaseline,
+                           {.span = "trainer.optim", .category = "trainer"});
         optimizer_.step(grads);
-        if (prof != nullptr) {
-            // Unscheduled step work: attribute explicitly to baseline so
-            // the report's coverage includes the optimizer.
-            prof->record("optimizer.step", "", "baseline",
-                         std::chrono::duration_cast<std::chrono::nanoseconds>(
-                             StepClock::now() - optim_start)
-                             .count());
-        }
     }
     stats.loss /= static_cast<double>(micro_batches.size());
-    if (obs::RunLog* log = obs::runLog()) {
-        obs::StepRecord record;
-        record.step = optimizer_.stepCount() - 1;
-        record.loss = stats.loss;
-        record.grad_norm = stats.grad_norm;
-        record.micro_batches = stats.micro_batches;
-        record.tokens = stats.tokens;
-        record.step_ms = msSince(step_start);
-        if (mem_window && mem_window->active()) {
-            record.mem_peak_bytes = mem_window->peakBytes();
-            record.mem_live_bytes = obs::memLiveBytes();
-            record.mem_retained_bytes = obs::metrics().alloc_pooled_bytes.get();
-            record.mem_categories_json = mem_window->categoriesJson();
-        } else {
-            record.mem_peak_bytes = obs::metrics().tensor_live_bytes.peak();
-        }
-        record.world_size = 1;
-        log->logStep(record);
-    }
-    if (report_builder) {
-        last_report_ = report_builder->finish(optimizer_.stepCount() - 1);
+    if (windows.finish(optimizer_.stepCount() - 1, stats, last_report_)) {
         obs::maybeWriteStepReport(last_report_);
     }
     return stats;
@@ -547,16 +555,8 @@ DataParallelTrainer::step(
 {
     support::failpoint::hit("dp_trainer.step");
     obs::TraceSpan step_span("dp_trainer.step", "trainer");
-    const auto step_start = StepClock::now();
     const int world = executor_.worldSize();
-    std::optional<obs::StepReportBuilder> report_builder;
-    if (obs::stepReportsEnabled()) {
-        report_builder.emplace(world);
-    }
-    std::optional<obs::MemWindow> mem_window;
-    if (obs::memProfilingEnabled()) {
-        mem_window.emplace();
-    }
+    StepWindows windows(world);
     SLAPO_CHECK(static_cast<int>(per_shard_inputs.size()) == base_world_,
                 "DataParallelTrainer: need one input tuple per data shard ("
                     << base_world_ << "), got " << per_shard_inputs.size());
@@ -592,40 +592,25 @@ DataParallelTrainer::step(
             }
         }
         std::vector<Tensor> grads;
-        obs::OpProfiler* prof = obs::OpProfiler::current();
         {
-            obs::TraceSpan allreduce_span("trainer.grad_allreduce",
-                                          "trainer");
-            const auto ar_start = StepClock::now();
-            // Scale by 1/#shards, not 1/#ranks: the update is a mean
-            // over the fixed data partition, so the math is well-defined
-            // at any (shrunken) world size.
+            // The data-parallel gradient exchange is communication no
+            // schedule primitive inserted: its own attribution bucket in
+            // the step report. Scale by 1/#shards, not 1/#ranks: the
+            // update is a mean over the fixed data partition, so the
+            // math is well-defined at any (shrunken) world size.
+            obs::OpScope exchange("grad.exchange", kDataParallel,
+                                  {.span = "trainer.grad_allreduce",
+                                   .category = "trainer"});
             grads = bucketedGradAllReduce(group, rank, local, base_world_);
-            if (prof != nullptr) {
-                // The data-parallel gradient exchange is communication
-                // no schedule primitive inserted — its own attribution
-                // bucket in the step report.
-                prof->record(
-                    "grad.exchange", "", "data_parallel",
-                    std::chrono::duration_cast<std::chrono::nanoseconds>(
-                        StepClock::now() - ar_start)
-                        .count());
-            }
         }
         if (rank == 0) {
             // Post-allreduce grads are identical on every rank; rank 0's
             // norm is the global one.
             grad_norm = globalGradNorm(grads);
         }
-        obs::TraceSpan optim_span("trainer.optim", "trainer");
-        const auto optim_start = StepClock::now();
+        obs::OpScope optim("optimizer.step", kBaseline,
+                           {.span = "trainer.optim", .category = "trainer"});
         optimizers_[rank]->step(grads);
-        if (prof != nullptr) {
-            prof->record("optimizer.step", "", "baseline",
-                         std::chrono::duration_cast<std::chrono::nanoseconds>(
-                             StepClock::now() - optim_start)
-                             .count());
-        }
     });
 
     TrainStepStats stats;
@@ -641,27 +626,8 @@ DataParallelTrainer::step(
         stats.recomputed_nodes += recomputed[r];
     }
     stats.loss /= base_world_;
-    if (obs::RunLog* log = obs::runLog()) {
-        obs::StepRecord record;
-        record.step = optimizers_[0]->stepCount() - 1;
-        record.loss = stats.loss;
-        record.grad_norm = stats.grad_norm;
-        record.micro_batches = stats.micro_batches;
-        record.tokens = stats.tokens;
-        record.step_ms = msSince(step_start);
-        if (mem_window && mem_window->active()) {
-            record.mem_peak_bytes = mem_window->peakBytes();
-            record.mem_live_bytes = obs::memLiveBytes();
-            record.mem_retained_bytes = obs::metrics().alloc_pooled_bytes.get();
-            record.mem_categories_json = mem_window->categoriesJson();
-        } else {
-            record.mem_peak_bytes = obs::metrics().tensor_live_bytes.peak();
-        }
-        record.world_size = world;
-        log->logStep(record);
-    }
-    if (report_builder) {
-        last_report_ = report_builder->finish(optimizers_[0]->stepCount() - 1);
+    if (windows.finish(optimizers_[0]->stepCount() - 1, stats,
+                       last_report_)) {
         // Straggler detection: attach the cross-rank min/max/mean/spread
         // of the collective counters (runs the same gather collectives
         // the report describes — only while reports are enabled).

@@ -34,10 +34,10 @@ TrainingSimulator::profileModel(const nn::Module& model,
     dist.world_size = tp;
     dist.group = nullptr; // meta profiling: collectives are accounted only
 
-    nn::Profiler profiler(bytes_per_element_);
+    nn::CostRecorder recorder(bytes_per_element_);
     {
         nn::DistGuard dist_guard(&dist);
-        nn::ProfilerGuard prof_guard(&profiler);
+        nn::CostRecorderGuard recorder_guard(&recorder);
         std::vector<nn::Value> inputs;
         inputs.reserve(input_shapes.size());
         for (const Shape& s : input_shapes) {
@@ -45,7 +45,7 @@ TrainingSimulator::profileModel(const nn::Module& model,
         }
         replica->call(inputs);
     }
-    return profiler.takeProfile();
+    return recorder.takeProfile();
 }
 
 StepStats
@@ -264,14 +264,14 @@ TrainingSimulator::simulateAnnotatedPipeline(
             nn::ModulePtr stage_module = stage.toModule();
             stage_params.push_back(
                 static_cast<double>(stage_module->numParams()));
-            nn::Profiler profiler(bytes_per_element_);
+            nn::CostRecorder recorder(bytes_per_element_);
             std::vector<nn::Value> inputs;
             for (const Shape& s : boundary) {
                 inputs.emplace_back(Tensor::meta(s));
             }
             std::vector<nn::Value> outputs;
             {
-                nn::ProfilerGuard guard(&profiler);
+                nn::CostRecorderGuard guard(&recorder);
                 outputs = stage_module->call(inputs);
             }
             boundary.clear();
@@ -282,7 +282,7 @@ TrainingSimulator::simulateAnnotatedPipeline(
                          bytes_per_element_;
             }
             max_boundary_bytes = std::max(max_boundary_bytes, bytes);
-            nn::Profile profile = profiler.takeProfile();
+            nn::Profile profile = recorder.takeProfile();
             if (transform) {
                 profile = transform(std::move(profile));
             }

@@ -10,7 +10,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <map>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/pipeline.h"
@@ -181,8 +183,8 @@ TEST(StepReport, BuildAttributesRowsAndDecomposesWall)
     obs::recordPrimitive("shard", "enc.fc1");
 
     obs::OpProfiler profiler;
-    profiler.record("LinearOp", "enc.fc1", 4000000);         // registry
-    profiler.record("GeluOp", "enc.act", 1000000);           // baseline
+    profiler.record("LinearOp", "enc.fc1", "", 4000000);     // registry
+    profiler.record("GeluOp", "enc.act", "", 1000000);       // baseline
     profiler.record("FusedOp", "enc.ffn", "fuse", 2000000);  // stamped
     profiler.record("sync", "enc.fc1", "sync", 3000000);     // comm
 
@@ -224,8 +226,8 @@ TEST(StepReport, WorldSizeNormalizesToPerRankMeans)
     obs::clearProvenance();
     obs::OpProfiler profiler;
     // Two ranks each spent 3 ms: the report shows the per-rank mean.
-    profiler.record("LinearOp", "m", 3000000);
-    profiler.record("LinearOp", "m", 3000000);
+    profiler.record("LinearOp", "m", "", 3000000);
+    profiler.record("LinearOp", "m", "", 3000000);
     obs::StepReport report =
         obs::buildStepReport(profiler, {}, 3500000, 2, 0);
     EXPECT_EQ(report.compute_ns, 3000000);
@@ -543,6 +545,116 @@ TEST(Attribution, DataParallelReportHasPerRankSpreadAndGradExchange)
     EXPECT_NE(report.per_rank_json.find("\"pg.wait_ns\""),
               std::string::npos);
     EXPECT_TRUE(JsonValidator(report.toJson()).valid());
+}
+
+// --- consumers compose --------------------------------------------------
+
+/** (op, module path, primitive) -> count, one entry per profiler row. */
+using RowCounts =
+    std::map<std::tuple<std::string, std::string, std::string>, int64_t>;
+
+RowCounts
+rowCounts(const obs::OpProfiler& profiler)
+{
+    RowCounts rows;
+    for (const obs::OpStats& s : profiler.report()) {
+        rows[{s.op, s.module_path, s.primitive}] = s.count;
+    }
+    return rows;
+}
+
+int64_t
+totalCount(const RowCounts& rows)
+{
+    int64_t total = 0;
+    for (const auto& [key, count] : rows) {
+        total += count;
+    }
+    return total;
+}
+
+/**
+ * The rows a user profiler collects over `steps` steps of a fresh
+ * `trainer`, with step reports on or off; `report_count` gets the sum
+ * of the reports' op counts (none while reports are off).
+ */
+template <typename TrainerT>
+RowCounts
+userRows(TrainerT& trainer,
+         const std::vector<std::vector<Tensor>>& batches, int steps,
+         bool reports, int64_t* report_count)
+{
+    obs::setStepReportsEnabled(reports);
+    obs::OpProfiler profiler;
+    {
+        obs::OpProfilerGuard guard(&profiler);
+        for (int i = 0; i < steps; ++i) {
+            trainer.step(batches);
+            const obs::StepReport& report = trainer.lastStepReport();
+            for (const obs::AttributedOp& op : report.ops) {
+                *report_count += op.count;
+            }
+        }
+    }
+    obs::setStepReportsEnabled(false);
+    return rowCounts(profiler);
+}
+
+TEST(Attribution, StepReportsLeaveUserProfilerRowsUnchanged)
+{
+    obs::clearProvenance();
+    const std::vector<std::vector<Tensor>> micros = {
+        {Tensor::randint({2, 8}, 64, 161), Tensor::randint({2, 8}, 64, 162)},
+        {Tensor::randint({2, 8}, 64, 163), Tensor::randint({2, 8}, 64, 164)},
+    };
+    RowCounts rows[2];
+    int64_t report_count = 0;
+    for (bool reports : {false, true}) {
+        auto model =
+            runtime::withCrossEntropyLoss(models::buildTinyModel("bert"));
+        model->initializeParams(151);
+        runtime::Trainer trainer(model);
+        rows[reports] = userRows(trainer, micros, 2, reports, &report_count);
+    }
+    EXPECT_GT(totalCount(rows[false]), 0);
+    // The step report collects next to the user's profiler instead of
+    // hiding it, and sees every row the user's profiler sees.
+    EXPECT_EQ(rows[true], rows[false]);
+    EXPECT_EQ(report_count, totalCount(rows[true]));
+}
+
+TEST(Attribution, StepReportsLeaveDataParallelUserRowsUnchanged)
+{
+    obs::clearProvenance();
+    constexpr int kWorld = 2;
+    constexpr int kSteps = 2;
+    const std::vector<std::vector<Tensor>> shards = {
+        {Tensor::randint({1, 8}, 64, 171), Tensor::randint({1, 8}, 64, 172)},
+        {Tensor::randint({1, 8}, 64, 173), Tensor::randint({1, 8}, 64, 174)},
+    };
+    RowCounts rows[2];
+    int64_t report_count = 0;
+    for (bool reports : {false, true}) {
+        auto model =
+            runtime::withCrossEntropyLoss(models::buildTinyModel("bert"));
+        model->initializeParams(181);
+        runtime::DataParallelTrainer dp(*model, kWorld);
+        rows[reports] = userRows(dp, shards, kSteps, reports, &report_count);
+    }
+    EXPECT_GT(totalCount(rows[false]), 0);
+    // With reports on, each step's gatherMetrics runs the executor once
+    // more after its report is built: one executor.body and one
+    // executor.spawn row per rank that only the user's profiler sees.
+    constexpr int64_t kGatherRows = kSteps * kWorld;
+    EXPECT_EQ(report_count, totalCount(rows[true]) - 2 * kGatherRows);
+    for (const char* op : {"executor.body", "executor.spawn"}) {
+        const std::tuple<std::string, std::string, std::string> key{
+            op, "", "baseline"};
+        EXPECT_EQ(rows[true][key], rows[false][key] + kGatherRows) << op;
+        rows[true].erase(key);
+        rows[false].erase(key);
+    }
+    EXPECT_EQ(rows[true], rows[false]);
 }
 
 } // namespace

@@ -428,9 +428,9 @@ TEST(Context, TracingPathTracksModuleStack)
 TEST(Profiler, CountsKernelsAndFlops)
 {
     Linear lin(4, 8);
-    Profiler profiler(2.0);
+    CostRecorder profiler(2.0);
     {
-        ProfilerGuard guard(&profiler);
+        CostRecorderGuard guard(&profiler);
         runEager(lin, {Tensor::meta({2, 4})});
     }
     const Profile& p = profiler.profile();
@@ -445,14 +445,14 @@ TEST(Profiler, EfficientKernelCollapsesToOneLaunch)
     auto eff = EfficientAttention::fromCore(core);
     Tensor q = Tensor::meta({1, 8, 8});
 
-    Profiler p_core(2.0);
+    CostRecorder p_core(2.0);
     {
-        ProfilerGuard guard(&p_core);
+        CostRecorderGuard guard(&p_core);
         core.call({Value(q), Value(q), Value(q)});
     }
-    Profiler p_eff(2.0);
+    CostRecorder p_eff(2.0);
     {
-        ProfilerGuard guard(&p_eff);
+        CostRecorderGuard guard(&p_eff);
         eff->call({Value(q), Value(q), Value(q)});
     }
     EXPECT_GT(p_core.profile().kernels.size(), 3u);
@@ -469,9 +469,9 @@ TEST(Profiler, CheckpointScopeMarksKernels)
 {
     FFN ffn(4, 8, 0.0);
     ffn.meta().checkpointed = true;
-    Profiler profiler(2.0);
+    CostRecorder profiler(2.0);
     {
-        ProfilerGuard guard(&profiler);
+        CostRecorderGuard guard(&profiler);
         ffn.call({Value(Tensor::meta({1, 2, 4}))});
     }
     for (const auto& k : profiler.profile().kernels) {
@@ -495,10 +495,10 @@ TEST(Profiler, ShardedModuleRecordsComm)
     DistContext dc;
     dc.rank = 0;
     dc.world_size = 2;
-    Profiler profiler(2.0);
+    CostRecorder profiler(2.0);
     {
         DistGuard dist(&dc);
-        ProfilerGuard guard(&profiler);
+        CostRecorderGuard guard(&profiler);
         lin.call({Value(Tensor::meta({2, 4}))}); // sharded input features
     }
     const Profile& p = profiler.profile();

@@ -8,6 +8,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <barrier>
 #include <cctype>
 #include <chrono>
 #include <cstdio>
@@ -15,6 +17,8 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <map>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -240,7 +244,7 @@ TEST(OpProfiler, MeanExactAndP99WithinHistogramError)
 {
     obs::OpProfiler profiler;
     for (int i = 0; i < 100; ++i) {
-        profiler.record("op", "", 1000);
+        profiler.record("op", "", "", 1000);
     }
     const obs::OpStats s = statsFor(profiler, "op", "");
     EXPECT_EQ(s.count, 100);
@@ -258,8 +262,7 @@ TEST(OpProfiler, MeanExactAndP99WithinHistogramError)
 
 TEST(OpProfiler, ModuleScopeOnlyTracksWhenActive)
 {
-    ASSERT_EQ(obs::OpProfiler::current(), nullptr);
-    ASSERT_FALSE(obs::tracingEnabled());
+    ASSERT_EQ(obs::observing(), 0);
     {
         obs::ModuleScope scope("ignored");
         EXPECT_EQ(obs::ModuleScope::currentPath(), "");
@@ -273,6 +276,83 @@ TEST(OpProfiler, ModuleScopeOnlyTracksWhenActive)
         EXPECT_EQ(obs::ModuleScope::currentPath(), "encoder.layer.0");
     }
     EXPECT_EQ(obs::ModuleScope::currentPath(), "encoder");
+}
+
+/** op -> count of a profiler's rows. */
+std::map<std::string, int64_t>
+opCounts(const std::vector<obs::OpStats>& rows)
+{
+    std::map<std::string, int64_t> counts;
+    for (const obs::OpStats& s : rows) {
+        counts[s.op] += s.count;
+    }
+    return counts;
+}
+
+TEST(OpProfilerGuard, ThreadsRemoveGuardsOutOfOrder)
+{
+    // Two threads each install a profiler, record, and remove their
+    // guards out of LIFO order: A, installed first, leaves first. Each
+    // row reaches every profiler installed when it closes, and no row
+    // reaches a profiler whose guard has returned. A third thread
+    // records throughout, so installs and removals race the fan-out.
+    static const std::string kPrimitive = "test";
+    auto row = [](const char* op) { obs::OpScope scope(op, kPrimitive); };
+    obs::OpProfiler a;
+    obs::OpProfiler b;
+    std::vector<obs::OpStats> a_at_removal;
+    std::vector<obs::OpStats> b_at_removal;
+    std::atomic<bool> stop{false};
+    std::thread hammer([&] {
+        while (!stop.load()) {
+            row("hammer");
+        }
+    });
+    std::barrier phase(2);
+    std::thread first([&] {
+        std::optional<obs::OpProfilerGuard> guard(std::in_place, &a);
+        row("a.only");
+        phase.arrive_and_wait(); // A installed
+        phase.arrive_and_wait(); // B installed
+        row("both.first");
+        phase.arrive_and_wait();
+        guard.reset();
+        a_at_removal = a.report();
+        phase.arrive_and_wait(); // A removed
+        phase.arrive_and_wait(); // B removed
+        row("none.first");
+    });
+    std::thread second([&] {
+        phase.arrive_and_wait();
+        std::optional<obs::OpProfilerGuard> guard(std::in_place, &b);
+        phase.arrive_and_wait();
+        row("both.second");
+        phase.arrive_and_wait();
+        phase.arrive_and_wait();
+        row("b.only");
+        guard.reset();
+        b_at_removal = b.report();
+        phase.arrive_and_wait();
+        row("none.second");
+    });
+    first.join();
+    second.join();
+    stop = true;
+    hammer.join();
+
+    // Nothing, the hammer's rows included, arrived after the removal.
+    std::map<std::string, int64_t> a_rows = opCounts(a.report());
+    std::map<std::string, int64_t> b_rows = opCounts(b.report());
+    EXPECT_EQ(a_rows, opCounts(a_at_removal));
+    EXPECT_EQ(b_rows, opCounts(b_at_removal));
+    a_rows.erase("hammer");
+    b_rows.erase("hammer");
+    using Counts = std::map<std::string, int64_t>;
+    EXPECT_EQ(a_rows,
+              (Counts{{"a.only", 1}, {"both.first", 1}, {"both.second", 1}}));
+    EXPECT_EQ(b_rows,
+              (Counts{{"b.only", 1}, {"both.first", 1}, {"both.second", 1}}));
+    EXPECT_EQ(obs::observing() & obs::kObserveProfile, 0);
 }
 
 // --- metrics ---------------------------------------------------------------
@@ -482,7 +562,7 @@ TEST(OpProfiler, EmptyProfilerReportsNothing)
 TEST(OpProfiler, ZeroDurationSampleHasZeroP99)
 {
     obs::OpProfiler profiler;
-    profiler.record("noop", "", 0);
+    profiler.record("noop", "", "", 0);
     const obs::OpStats s = statsFor(profiler, "noop", "");
     EXPECT_EQ(s.count, 1);
     EXPECT_EQ(s.total_ns, 0);
@@ -493,7 +573,7 @@ TEST(OpProfiler, ZeroDurationSampleHasZeroP99)
 TEST(OpProfiler, SingleSampleP99WithinHistogramError)
 {
     obs::OpProfiler profiler;
-    profiler.record("op", "", 5000);
+    profiler.record("op", "", "", 5000);
     const obs::OpStats s = statsFor(profiler, "op", "");
     EXPECT_EQ(s.count, 1);
     // p99 of a single sample is that sample's log-bucket upper bound:
@@ -516,7 +596,8 @@ TEST(OpProfiler, DeeplyNestedModuleScopeBuildsFullDottedPath)
         obs::ModuleScope l5("query");
         want = "model.encoder.layer.11.attention.self.query";
         EXPECT_EQ(obs::ModuleScope::currentPath(), want);
-        profiler.record("linear", obs::ModuleScope::currentPath(), 1000);
+        profiler.record("linear", obs::ModuleScope::currentPath(), "",
+                        1000);
     }
     EXPECT_EQ(obs::ModuleScope::currentPath(), "");
     EXPECT_EQ(statsFor(profiler, "linear", want).count, 1);

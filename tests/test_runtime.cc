@@ -351,9 +351,9 @@ TEST(Autograd, PartialCheckpointReducesProfiledActivations)
             auto matches = ffn.find(graph::Pattern::chain({"add", "gelu"}));
             ffn.checkpoint(matches.front());
         }
-        nn::Profiler profiler(2.0);
+        nn::CostRecorder profiler(2.0);
         {
-            nn::ProfilerGuard guard(&profiler);
+            nn::CostRecorderGuard guard(&profiler);
             model->call({nn::Value(Tensor::meta({2, 8}))});
         }
         return profiler.takeProfile();

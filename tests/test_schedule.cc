@@ -232,9 +232,9 @@ TEST(Schedule, AlbertSharedLayerSchedulesAllApplications)
     auto sch = Schedule::create(model);
     (*sch)["shared_layer"].checkpoint();
 
-    nn::Profiler profiler(2.0);
+    nn::CostRecorder profiler(2.0);
     {
-        nn::ProfilerGuard guard(&profiler);
+        nn::CostRecorderGuard guard(&profiler);
         model->call({nn::Value(Tensor::meta({1, 8}))});
     }
     int layer_kernels = 0;
