@@ -72,6 +72,45 @@ BM_TensorLayerNorm(benchmark::State& state)
 BENCHMARK(BM_TensorLayerNorm);
 
 void
+BM_TensorLayerNormBackward(benchmark::State& state)
+{
+    // The mid model's hidden rows: 4 x 64 tokens of width 256.
+    Tensor x = Tensor::uniform({256, 256}, 1.0f, 3);
+    Tensor gamma = Tensor::uniform({256}, 1.0f, 4);
+    Tensor g = Tensor::uniform({256, 256}, 1.0f, 5);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(ops::layerNormBackward(g, x, gamma, 1e-5f));
+    }
+    state.SetItemsProcessed(state.iterations() * x.numel());
+}
+BENCHMARK(BM_TensorLayerNormBackward);
+
+void
+BM_TensorCrossEntropy(benchmark::State& state)
+{
+    // The mid model's MLM loss: 256 tokens over a 2048-word vocabulary.
+    Tensor logits = Tensor::uniform({256, 2048}, 4.0f, 6);
+    Tensor targets = Tensor::randint({256}, 2048, 7);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(ops::crossEntropy(logits, targets));
+    }
+    state.SetItemsProcessed(state.iterations() * logits.numel());
+}
+BENCHMARK(BM_TensorCrossEntropy);
+
+void
+BM_TensorCrossEntropyBackward(benchmark::State& state)
+{
+    Tensor logits = Tensor::uniform({256, 2048}, 4.0f, 6);
+    Tensor targets = Tensor::randint({256}, 2048, 7);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(ops::crossEntropyBackward(logits, targets));
+    }
+    state.SetItemsProcessed(state.iterations() * logits.numel());
+}
+BENCHMARK(BM_TensorCrossEntropyBackward);
+
+void
 BM_TensorSoftmax(benchmark::State& state)
 {
     Tensor x = Tensor::uniform({8, 16, 128, 128}, 1.0f, 5);

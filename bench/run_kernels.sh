@@ -3,9 +3,11 @@
 # BENCH_kernels.json at the repo root. Covers the blocked/parallel kernel
 # backend: matmul sizes 32..512, the thread-sweep variants (n x threads),
 # linear at the mid model's wide shapes and its backward, fc1 forced onto
-# the baseline (SSE2) path, whose fused multiply-add is emulated, layernorm,
-# softmax, and gelu with its backward — plus the caching-allocator A/B
-# (BM_AllocStep / BM_AllocAcquireRelease, pool=0 vs pool=1).
+# the baseline (SSE2) path, whose fused multiply-add is emulated, layernorm
+# and its backward, softmax, cross-entropy and its backward at the mid
+# model's loss shape, and gelu with its backward — plus the
+# caching-allocator A/B (BM_AllocStep / BM_AllocAcquireRelease, pool=0 vs
+# pool=1).
 #
 # Usage: bench/run_kernels.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -22,7 +24,7 @@ fi
 
 out="$repo_root/BENCH_kernels.json"
 "$bench_bin" \
-    --benchmark_filter='BM_Tensor(Matmul|MatmulThreads|Linear|LinearThreads|LinearBaselineIsa|LinearBackward|LayerNorm|Softmax|Gelu|GeluBackward)|BM_Alloc(Step|AcquireRelease)' \
+    --benchmark_filter='BM_Tensor(Matmul|MatmulThreads|Linear|LinearThreads|LinearBaselineIsa|LinearBackward|LayerNorm|LayerNormBackward|Softmax|CrossEntropy|CrossEntropyBackward|Gelu|GeluBackward)|BM_Alloc(Step|AcquireRelease)' \
     --benchmark_format=json \
     --benchmark_out="$out" \
     --benchmark_out_format=json

@@ -66,8 +66,12 @@ struct OpProfiler::Impl
 
     mutable std::mutex mutex;
     // Ordered map keyed by (op, module_path, primitive): deterministic
-    // report order for ties, and no hashing of composite keys.
-    std::map<std::tuple<std::string, std::string, std::string>, Agg> aggs;
+    // report order for ties, and no hashing of composite keys. The
+    // comparator is transparent, so a row finds its aggregate through a
+    // tuple of references and only a new key copies the strings.
+    std::map<std::tuple<std::string, std::string, std::string>, Agg,
+             std::less<>>
+        aggs;
 };
 
 OpProfiler::OpProfiler() : impl_(new Impl()) {}
@@ -82,7 +86,11 @@ OpProfiler::record(const std::string& op, const std::string& module_path,
                    const std::string& primitive, int64_t duration_ns)
 {
     std::lock_guard<std::mutex> lock(impl_->mutex);
-    Impl::Agg& agg = impl_->aggs[{op, module_path, primitive}];
+    auto it = impl_->aggs.find(std::tie(op, module_path, primitive));
+    if (it == impl_->aggs.end()) {
+        it = impl_->aggs.try_emplace({op, module_path, primitive}).first;
+    }
+    Impl::Agg& agg = it->second;
     ++agg.count;
     agg.total_ns += duration_ns;
     ++agg.buckets[bucketOf(duration_ns)];

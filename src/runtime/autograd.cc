@@ -181,7 +181,7 @@ opBackward(const Node& node, const std::vector<Tensor>& x, const Tensor& y,
         return {Tensor::zeros(x[0].shape()),
                 ops::embeddingBackward(g, x[0], x[1].size(0))};
       case OpKind::CrossEntropyOp:
-        return {ops::scale(ops::crossEntropyBackward(x[0], x[1]), g.at(0)),
+        return {ops::crossEntropyBackward(x[0], x[1], g.at(0)),
                 Tensor::zeros(x[1].shape())};
       case OpKind::MseLossOp:
         return {ops::scale(ops::mseLossBackward(x[0], x[1]), g.at(0)),
@@ -243,7 +243,11 @@ AutogradEngine::backwardGraph(nn::Frame& frame,
     // only the *retained* forward tape (obs/mem_profiler.h).
     obs::MemCategoryScope mem_cat(obs::MemCategory::Gradient);
 
-    auto accumulate = [&](const Node* node, size_t index, const Tensor& grad) {
+    // Later gradients are added into a slot in place, so its first one is
+    // adopted only when nothing else holds its storage (a backward rule's
+    // fresh result, moved in); a view of another slot or a caller's
+    // tensor is copied.
+    auto accumulate = [&](const Node* node, size_t index, Tensor grad) {
         SLAPO_ASSERT(node->id() >= 0 &&
                          node->id() < static_cast<int64_t>(gslots.size()),
                      "backward: node id out of range for " << node->name());
@@ -251,10 +255,12 @@ AutogradEngine::backwardGraph(nn::Frame& frame,
         if (slots.size() <= index) {
             slots.resize(std::max(slots.size(), index + 1));
         }
-        if (!slots[index].materialized()) {
-            slots[index] = grad.clone();
-        } else {
+        if (slots[index].materialized()) {
             slots[index].addInPlace(grad);
+        } else if (grad.storageUseCount() == 1) {
+            slots[index] = std::move(grad);
+        } else {
+            slots[index] = grad.clone();
         }
     };
 
@@ -345,7 +351,7 @@ AutogradEngine::backwardGraph(nn::Frame& frame,
           }
           case NodeKind::GetParam: {
             accumulateParamGrad(node->module()->paramTensor(node->target()),
-                                slots[0]);
+                                std::move(slots[0]));
             break;
           }
           case NodeKind::CallOp: {
@@ -365,12 +371,15 @@ AutogradEngine::backwardGraph(nn::Frame& frame,
                          "backward rule arity mismatch for "
                              << opKindName(node->op()));
             for (size_t i = 0; i < in_grads.size(); ++i) {
-                accumulate(node->inputs()[i], 0, in_grads[i]);
+                accumulate(node->inputs()[i], 0, std::move(in_grads[i]));
             }
             break;
           }
           case NodeKind::CallModule: {
             Module* child = node->module();
+            // The recompute's rows belong to the child as much as its
+            // backward's do.
+            obs::ModuleScope path(node->target(), observed);
             nn::Frame* child_frame = nullptr;
             std::unique_ptr<nn::Frame> recomputed;
             auto fit = frame.children.find(node);
@@ -392,12 +401,12 @@ AutogradEngine::backwardGraph(nn::Frame& frame,
                     static_cast<int64_t>(child_graph.size());
                 child_frame = recomputed.get();
             }
-            obs::ModuleScope path(node->target(), observed);
             std::vector<Tensor> child_in_grads =
                 backwardModule(*child, *child_frame, slots);
             for (size_t i = 0; i < child_in_grads.size(); ++i) {
                 if (child_in_grads[i].materialized()) {
-                    accumulate(node->inputs()[i], 0, child_in_grads[i]);
+                    accumulate(node->inputs()[i], 0,
+                               std::move(child_in_grads[i]));
                 }
             }
             break;
@@ -407,7 +416,7 @@ AutogradEngine::backwardGraph(nn::Frame& frame,
             std::vector<Tensor> in_grads = backwardGraph(*sub, slots);
             for (size_t i = 0; i < in_grads.size(); ++i) {
                 if (in_grads[i].materialized()) {
-                    accumulate(node->inputs()[i], 0, in_grads[i]);
+                    accumulate(node->inputs()[i], 0, std::move(in_grads[i]));
                 }
             }
             break;
@@ -435,16 +444,18 @@ AutogradEngine::backwardGraph(nn::Frame& frame,
 }
 
 void
-AutogradEngine::accumulateParamGrad(const Tensor& param, const Tensor& grad)
+AutogradEngine::accumulateParamGrad(const Tensor& param, Tensor grad)
 {
     const void* key = param.storageKey();
     SLAPO_ASSERT(key != nullptr, "gradient for meta parameter");
     auto it = result_.param_grads.find(key);
-    if (it == result_.param_grads.end()) {
+    if (it != result_.param_grads.end()) {
+        it->second.addInPlace(grad);
+    } else if (grad.storageUseCount() == 1) {
+        result_.param_grads.emplace(key, std::move(grad));
+    } else {
         obs::MemCategoryScope mem_cat(obs::MemCategory::Gradient);
         result_.param_grads.emplace(key, grad.clone());
-    } else {
-        it->second.addInPlace(grad);
     }
 }
 

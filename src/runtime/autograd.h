@@ -76,7 +76,7 @@ class AutogradEngine
     std::vector<Tensor> backwardGraph(nn::Frame& frame,
                                       const std::vector<Tensor>& grad_outputs);
 
-    void accumulateParamGrad(const Tensor& param, const Tensor& grad);
+    void accumulateParamGrad(const Tensor& param, Tensor grad);
 
     nn::GraphCache graphs_;
     GradResult result_;

@@ -3,20 +3,22 @@
  * Run-time ISA dispatch for the hot numeric kernels.
  *
  * The packed-panel GEMM (its pack and its microkernel), the AdamW update,
- * and gelu, its backward and tanh are written once as pointer-level chunk
- * functions (kernels_body.h) and compiled three times: for baseline x86-64
- * (SSE2), x86-64-v3 (AVX2) and x86-64-v4 (AVX-512). Each table also
+ * gelu, its backward and tanh, and the row kernels (softmax, cross-entropy
+ * and layer norm, forward and backward) are written once as pointer-level
+ * chunk functions (kernels_body.h) and compiled three times: for baseline
+ * x86-64 (SSE2), x86-64-v3 (AVX2) and x86-64-v4 (AVX-512). Each table also
  * carries the GEMM tile its path was tuned for. The first call to
  * `kernels()` asks cpuid for the widest level the CPU supports and keeps
  * that table.
  *
  * Every path performs the same float operations in the same order: FMA
  * contraction is off, the GEMM's one fused multiply-add per k step is
- * explicit (emulated exactly on SSE2), nothing is reassociated and no libm
- * function is called, so outputs are bit-identical across paths
- * (docs/PERFORMANCE.md, "ISA dispatch").
- * Callers keep the shape checks, allocation and `parallelFor` split, so
- * chunk boundaries stay a function of the shapes alone.
+ * explicit (emulated exactly on SSE2), nothing is reassociated, row sums
+ * run in 16 fixed lanes whatever the vector width, and no libm function is
+ * called (exp and log are built from multiplies and adds), so outputs are
+ * bit-identical across paths (docs/PERFORMANCE.md, "ISA dispatch").
+ * Callers keep the shape and target checks, allocation and `parallelFor`
+ * split, so chunk boundaries stay a function of the shapes alone.
  *
  * This header is included by the per-ISA translation units, so it holds
  * declarations only: anything inline here could be emitted out of line in
@@ -112,6 +114,35 @@ struct KernelTable
 
     /** y = tanh(x) over n elements; y may equal x. */
     void (*tanh)(const float* x, float* y, int64_t n);
+
+    // Row kernels over `rows` contiguous rows of width d.
+
+    /** y[r, :] = softmax(x[r, :]); y may equal x. */
+    void (*softmax)(const float* x, float* y, int64_t rows, int64_t d);
+
+    /**
+     * loss[r] = min(logsumexp(x[r, :]) - x[r, t], -log(1e-12f)) with
+     * t = targets[r], which the caller has checked is in [0, d). No
+     * probability row is written.
+     */
+    void (*cross_entropy)(const float* x, const float* targets, double* loss,
+                          int64_t rows, int64_t d);
+
+    /** grad[r, :] = (softmax(x[r, :]) - onehot(targets[r])) * scale. */
+    void (*cross_entropy_backward)(const float* x, const float* targets,
+                                   float scale, float* grad, int64_t rows,
+                                   int64_t d);
+
+    /** y[r, :] = (x[r, :] - mean) / sqrt(var + eps) * gamma + beta. */
+    void (*layer_norm)(const float* x, const float* gamma, const float* beta,
+                       float eps, float* y, int64_t rows, int64_t d);
+
+    /** dx[r, :] of layer_norm for grad[r, :], and each row's
+     * grad * xhat and grad added to dgamma and dbeta, rows in order. */
+    void (*layer_norm_backward)(const float* grad, const float* x,
+                                const float* gamma, float eps, float* dx,
+                                float* dgamma, float* dbeta, int64_t rows,
+                                int64_t d);
 };
 
 /** The active table: the widest path the CPU supports, chosen at first

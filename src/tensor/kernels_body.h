@@ -14,8 +14,8 @@
  *    written out: the vfmadd instruction on the AVX paths, an exact
  *    emulation on SSE2 (fusedMultiplyAdd).
  *  - No libm: every IEEE basic operation rounds the same in every ISA,
- *    but libm's functions are glibc's own and scalar. tanh and exp are
- *    written out below instead. The isa_symbols test fails on any
+ *    but libm's functions are glibc's own and scalar. tanh, exp and log
+ *    are written out below instead. The isa_symbols test fails on any
  *    undefined symbol in the objects, which catches a std::tanh here.
  *    The objects are built with -fno-trapping-math, so GCC may evaluate
  *    both sides of a float select and vectorize the loop; that changes
@@ -460,28 +460,37 @@ bitsOf(float f)
     return __builtin_bit_cast(uint32_t, f);
 }
 
-/** e^z for z in [0, 20]: z = n ln2 + r with a two-part (Cody-Waite) ln2
- * so r is nearly exact, a degree-7 polynomial for e^r on |r| <= ln2/2,
- * and 2^n built from exponent bits. */
-float
-expNonNegative(float z)
+// e^z = 2^n e^r with z = n ln2 + r. ln2 = kLn2Hi + kLn2Lo (Cody-Waite):
+// kLn2Hi has 9 significant bits, so n * kLn2Hi is exact for |n| < 2^15
+// and r is nearly exact.
+constexpr float kLog2e = 1.44269504f;
+constexpr float kLn2Hi = 0.693359375f;
+constexpr float kLn2Lo = -2.12194440e-4f;
+
+/** e^r for |r| <= ln2/2, a degree-7 polynomial 1 + r + r^2 Q(r); T is
+ * float or a vector of floats, with the same operations per element. */
+template <typename T>
+__attribute__((always_inline)) inline T
+expOfReduced(T r)
 {
-    constexpr float kLog2e = 1.44269504f;
-    // ln2 = kLn2Hi + kLn2Lo; kLn2Hi has 9 significant bits, so n * kLn2Hi
-    // is exact for the n < 30 seen here.
-    constexpr float kLn2Hi = 0.693359375f;
-    constexpr float kLn2Lo = -2.12194440e-4f;
-    const int32_t n = static_cast<int32_t>(z * kLog2e + 0.5f);
-    const float nf = static_cast<float>(n);
-    const float r = (z - nf * kLn2Hi) - nf * kLn2Lo;
-    float q = 1.98909808698e-4f;
+    T q = T{} + 1.98909808698e-4f;
     q = q * r + 1.3933641032e-3f;
     q = q * r + 8.33331093445e-3f;
     q = q * r + 4.1666465006e-2f;
     q = q * r + 1.66666666816e-1f;
     q = q * r + 5.00000001346e-1f;
-    const float er = r * r * q + r + 1.0f;
-    return er * floatFromBits(static_cast<uint32_t>(n + 127) << 23);
+    return r * r * q + r + 1.0f;
+}
+
+/** e^z for z in [0, 20], 2^n built from exponent bits. */
+float
+expNonNegative(float z)
+{
+    const int32_t n = static_cast<int32_t>(z * kLog2e + 0.5f);
+    const float nf = static_cast<float>(n);
+    const float r = (z - nf * kLn2Hi) - nf * kLn2Lo;
+    return expOfReduced(r) *
+           floatFromBits(static_cast<uint32_t>(n + 127) << 23);
 }
 
 /**
@@ -543,6 +552,331 @@ geluBackwardRange(const float* grad, const float* x, float* out, int64_t n)
         const float dinner = kGeluC * (1.0f + 3.0f * kGeluCubic * v * v);
         const float d = 0.5f * (1.0f + t) + 0.5f * v * (1.0f - t * t) * dinner;
         out[i] = grad[i] * d;
+    }
+}
+
+// --- row kernels: softmax, cross-entropy, layer norm ------------------------
+//
+// A row is read in blocks of 16 lanes: element i feeds lane i mod 16. Row
+// sums are kept per lane in double and folded in one fixed pairwise order
+// at the end of the row. The lane count is not the path's vector width:
+// GCC lowers a 16-lane vector to 4 xmm, 2 ymm or 1 zmm registers, so each
+// lane sees the same additions in the same order on every path. A partial
+// last block is either padded with a value that adds nothing (softmax,
+// cross-entropy) or finished lane by lane with the same scalar operations
+// (layer norm). Rows never span two calls, so the thread count never
+// changes the bits either.
+
+constexpr int kLanes = 16;
+typedef float FloatLanes
+    __attribute__((vector_size(kLanes * sizeof(float)), aligned(4),
+                   may_alias));
+typedef double DoubleLanes
+    __attribute__((vector_size(kLanes * sizeof(double)), aligned(8),
+                   may_alias));
+typedef int32_t IntLanes __attribute__((vector_size(kLanes * sizeof(int32_t))));
+
+constexpr float kNegInf = -__builtin_inff();
+
+__attribute__((always_inline)) inline FloatLanes
+loadLanes(const float* p)
+{
+    return *reinterpret_cast<const FloatLanes*>(p);
+}
+
+__attribute__((always_inline)) inline void
+storeLanes(float* p, FloatLanes v)
+{
+    *reinterpret_cast<FloatLanes*>(p) = v;
+}
+
+/** p[0, n) in the first n lanes, `pad` in the rest (n < kLanes). */
+__attribute__((always_inline)) inline FloatLanes
+loadPartial(const float* p, int64_t n, float pad)
+{
+    float lanes[kLanes];
+    for (int j = 0; j < kLanes; ++j) lanes[j] = j < n ? p[j] : pad;
+    return loadLanes(lanes);
+}
+
+/** The first n lanes of v to p[0, n). */
+__attribute__((always_inline)) inline void
+storePartial(float* p, int64_t n, FloatLanes v)
+{
+    float lanes[kLanes];
+    storeLanes(lanes, v);
+    for (int64_t j = 0; j < n; ++j) p[j] = lanes[j];
+}
+
+__attribute__((always_inline)) inline DoubleLanes
+widen(FloatLanes v)
+{
+    return __builtin_convertvector(v, DoubleLanes);
+}
+
+/** The lanes' sum: lane j plus lane j + w for w = 8, 4, 2, 1. */
+__attribute__((always_inline)) inline double
+foldLanes(DoubleLanes a)
+{
+    for (int w = kLanes / 2; w >= 1; w /= 2) {
+        for (int j = 0; j < w; ++j) a[j] += a[j + w];
+    }
+    return a[0];
+}
+
+/**
+ * e^z per lane for z <= 0 (softmax's x - max). Below -87, where e^z nears
+ * the smallest normal float, the result is +0, so a score masked with
+ * -1e9 gives exactly 0 and no lane ever computes a subnormal; -inf gives
+ * 0 and NaN stays NaN. Above -87, 2^n is built from exponent bits
+ * (n >= -126) as in expNonNegative.
+ */
+__attribute__((always_inline)) inline FloatLanes
+expNonPositive(FloatLanes z)
+{
+    const FloatLanes floor = FloatLanes{} + -87.0f;
+    const FloatLanes zc = z > floor ? z : floor; // -inf and NaN too
+    // Round to nearest: z * log2(e) <= 0, truncated after subtracting 1/2.
+    const IntLanes n = __builtin_convertvector(zc * kLog2e - 0.5f, IntLanes);
+    const FloatLanes nf = __builtin_convertvector(n, FloatLanes);
+    const FloatLanes r = (zc - nf * kLn2Hi) - nf * kLn2Lo;
+    const FloatLanes e = expOfReduced(r) * (FloatLanes)((n + 127) << 23);
+    return (FloatLanes)(((IntLanes)e & (z >= floor)) |
+                        ((IntLanes)z & (z != z)));
+}
+
+/** The row's largest element. NaN elements are passed over here; the
+ * exp pass turns their row into NaN. */
+float
+rowMax(const float* x, int64_t d)
+{
+    FloatLanes m = FloatLanes{} + kNegInf;
+    int64_t i = 0;
+    for (; i + kLanes <= d; i += kLanes) {
+        const FloatLanes v = loadLanes(x + i);
+        m = v > m ? v : m;
+    }
+    if (i < d) {
+        const FloatLanes v = loadPartial(x + i, d - i, kNegInf);
+        m = v > m ? v : m;
+    }
+    float out = m[0];
+    for (int j = 1; j < kLanes; ++j) out = m[j] > out ? m[j] : out;
+    return out;
+}
+
+/** sum_i e^(x_i - m) in double, e^(x_i - m) also stored to y[i] when
+ * Store (y may equal x: each block is read before it is written). */
+template <bool Store>
+double
+rowExpSum(const float* x, float m, float* y, int64_t d)
+{
+    DoubleLanes acc = {};
+    int64_t i = 0;
+    for (; i + kLanes <= d; i += kLanes) {
+        const FloatLanes e = expNonPositive(loadLanes(x + i) - m);
+        if constexpr (Store) storeLanes(y + i, e);
+        acc += widen(e);
+    }
+    if (i < d) {
+        // Padding with -inf adds e^-inf = +0 to the idle lanes (a row
+        // whose max is -inf is NaN whatever they add).
+        const FloatLanes e =
+            expNonPositive(loadPartial(x + i, d - i, kNegInf) - m);
+        if constexpr (Store) storePartial(y + i, d - i, e);
+        acc += widen(e);
+    }
+    return foldLanes(acc);
+}
+
+constexpr int kLogTerms = 24;
+
+/** 1/n for n in [1, kLogTerms], computed at compile time. */
+struct Reciprocals
+{
+    double of[kLogTerms + 1] = {};
+    constexpr Reciprocals()
+    {
+        for (int n = 1; n <= kLogTerms; ++n) of[n] = 1.0 / n;
+    }
+};
+constexpr Reciprocals kReciprocals;
+
+/**
+ * log(s) for a positive normal s from multiplies and adds: s = 2^k m with
+ * m in [1, 2), m scaled by 2^(+-1/2) and 2^(+-1/4) into [2^-1/4, 2^1/4],
+ * then the log(1 + f) series, |f| < 0.19, to 24 terms (truncation below
+ * 1e-19). NaN stays NaN. Called once per row.
+ */
+double
+logPositive(double s)
+{
+    if (s != s) {
+        return s;
+    }
+    constexpr double kSqrt2 = 1.4142135623730951;
+    constexpr double kRoot4Of2 = 1.189207115002721;    // 2^(1/4)
+    constexpr double kInvRoot4Of2 = 0.8408964152537145; // 2^(-1/4)
+    constexpr double kQuarterLn2 = 0.17328679513998632;
+    const uint64_t bits = __builtin_bit_cast(uint64_t, s);
+    int64_t quarters = 4 * (static_cast<int64_t>(bits >> 52) - 1023);
+    double m = __builtin_bit_cast(
+        double, (bits & 0x000fffffffffffffull) | 0x3ff0000000000000ull);
+    if (m > kSqrt2) {
+        m *= 0.5;
+        quarters += 4;
+    }
+    if (m > kRoot4Of2) {
+        m *= kInvRoot4Of2;
+        ++quarters;
+    } else if (m < kInvRoot4Of2) {
+        m *= kRoot4Of2;
+        --quarters;
+    }
+    const double f = m - 1.0; // exact: m is within a factor 2 of 1
+    // log(1 + f) = f * sum_{n >= 1} (-f)^(n-1) / n, by Horner.
+    double p = kReciprocals.of[kLogTerms];
+    for (int n = kLogTerms - 1; n >= 1; --n) p = kReciprocals.of[n] - f * p;
+    return static_cast<double>(quarters) * kQuarterLn2 + f * p;
+}
+
+void
+softmaxRows(const float* x, float* y, int64_t rows, int64_t d)
+{
+    for (int64_t r = 0; r < rows; ++r) {
+        const float* xr = x + r * d;
+        float* yr = y + r * d;
+        const float m = rowMax(xr, d);
+        const float inv =
+            static_cast<float>(1.0 / rowExpSum<true>(xr, m, yr, d));
+        for (int64_t i = 0; i < d; ++i) yr[i] *= inv;
+    }
+}
+
+/** -log(1e-12f): the per-token loss cap, the 1e-12 probability floor. */
+constexpr double kLossCap = 27.631021119924352;
+
+void
+crossEntropyRows(const float* x, const float* targets, double* loss,
+                 int64_t rows, int64_t d)
+{
+    for (int64_t r = 0; r < rows; ++r) {
+        const float* xr = x + r * d;
+        const float m = rowMax(xr, d);
+        const double lse_minus_max =
+            logPositive(rowExpSum<false>(xr, m, nullptr, d));
+        const int64_t t = static_cast<int64_t>(targets[r]);
+        const double l = lse_minus_max - (static_cast<double>(xr[t]) -
+                                          static_cast<double>(m));
+        loss[r] = l > kLossCap ? kLossCap : l;
+    }
+}
+
+void
+crossEntropyBackwardRows(const float* x, const float* targets, float scale,
+                         float* grad, int64_t rows, int64_t d)
+{
+    for (int64_t r = 0; r < rows; ++r) {
+        const float* xr = x + r * d;
+        float* gr = grad + r * d;
+        const float m = rowMax(xr, d);
+        const float inv =
+            static_cast<float>(1.0 / rowExpSum<true>(xr, m, gr, d));
+        const int64_t t = static_cast<int64_t>(targets[r]);
+        const float et = gr[t];
+        for (int64_t i = 0; i < d; ++i) gr[i] = gr[i] * inv * scale;
+        gr[t] = (et * inv - 1.0f) * scale;
+    }
+}
+
+/** Mean and (biased) variance of the row in double, in two passes. */
+void
+rowMoments(const float* x, int64_t d, double* mean, double* var)
+{
+    DoubleLanes sum = {};
+    int64_t i = 0;
+    for (; i + kLanes <= d; i += kLanes) sum += widen(loadLanes(x + i));
+    for (int64_t j = 0; i + j < d; ++j) sum[j] += static_cast<double>(x[i + j]);
+    const double mu = foldLanes(sum) / static_cast<double>(d);
+    DoubleLanes sq = {};
+    for (i = 0; i + kLanes <= d; i += kLanes) {
+        const DoubleLanes c = widen(loadLanes(x + i)) - mu;
+        sq += c * c;
+    }
+    for (int64_t j = 0; i + j < d; ++j) {
+        const double c = static_cast<double>(x[i + j]) - mu;
+        sq[j] += c * c;
+    }
+    *mean = mu;
+    *var = foldLanes(sq) / static_cast<double>(d);
+}
+
+void
+layerNormRows(const float* x, const float* gamma, const float* beta, float eps,
+              float* y, int64_t rows, int64_t d)
+{
+    for (int64_t r = 0; r < rows; ++r) {
+        const float* xr = x + r * d;
+        float* yr = y + r * d;
+        double mean, var;
+        rowMoments(xr, d, &mean, &var);
+        const float mean_f = static_cast<float>(mean);
+        const float inv_std =
+            static_cast<float>(1.0 / __builtin_sqrt(var + eps));
+        for (int64_t i = 0; i < d; ++i) {
+            yr[i] = (xr[i] - mean_f) * inv_std * gamma[i] + beta[i];
+        }
+    }
+}
+
+void
+layerNormBackwardRows(const float* grad, const float* x, const float* gamma,
+                      float eps, float* dx, float* dgamma, float* dbeta,
+                      int64_t rows, int64_t d)
+{
+    for (int64_t r = 0; r < rows; ++r) {
+        const float* xr = x + r * d;
+        const float* gr = grad + r * d;
+        float* dxr = dx + r * d;
+        double mean, var;
+        rowMoments(xr, d, &mean, &var);
+        const double inv_std = 1.0 / __builtin_sqrt(var + eps);
+        // g = grad * gamma; the row sums of g and g * xhat, and the
+        // affine gradients' rows, in one pass.
+        DoubleLanes sum_g = {};
+        DoubleLanes sum_gx = {};
+        int64_t i = 0;
+        for (; i + kLanes <= d; i += kLanes) {
+            const FloatLanes go = loadLanes(gr + i);
+            const DoubleLanes go_d = widen(go);
+            const DoubleLanes xhat =
+                (widen(loadLanes(xr + i)) - mean) * inv_std;
+            const DoubleLanes g = go_d * widen(loadLanes(gamma + i));
+            sum_gx += g * xhat;
+            sum_g += g;
+            storeLanes(dgamma + i,
+                       loadLanes(dgamma + i) +
+                           __builtin_convertvector(go_d * xhat, FloatLanes));
+            storeLanes(dbeta + i, loadLanes(dbeta + i) + go);
+        }
+        for (int64_t j = 0; i + j < d; ++j) {
+            const double go_d = gr[i + j];
+            const double xhat =
+                (static_cast<double>(xr[i + j]) - mean) * inv_std;
+            const double g = go_d * static_cast<double>(gamma[i + j]);
+            sum_gx[j] += g * xhat;
+            sum_g[j] += g;
+            dgamma[i + j] += static_cast<float>(go_d * xhat);
+            dbeta[i + j] += gr[i + j];
+        }
+        const double mean_g = foldLanes(sum_g) / static_cast<double>(d);
+        const double mean_gx = foldLanes(sum_gx) / static_cast<double>(d);
+        for (i = 0; i < d; ++i) {
+            const double xhat = (static_cast<double>(xr[i]) - mean) * inv_std;
+            const double g = static_cast<double>(gr[i]) * gamma[i];
+            dxr[i] =
+                static_cast<float>(inv_std * ((g - mean_g) - xhat * mean_gx));
+        }
     }
 }
 

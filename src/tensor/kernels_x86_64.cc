@@ -8,7 +8,9 @@ namespace detail {
 
 extern const KernelTable kX86_64Table = {
     Isa::X86_64, kVecFloats, kTileRows, kPanelCols, packPanel, gemmPanel,
-    adamwUpdate, geluRange, geluBackwardRange, tanhRange};
+    adamwUpdate, geluRange, geluBackwardRange, tanhRange,
+    softmaxRows, crossEntropyRows, crossEntropyBackwardRows, layerNormRows,
+    layerNormBackwardRows};
 
 } // namespace detail
 } // namespace kernels

@@ -53,6 +53,43 @@ binarySameShapeInto(const float* pa, const float* pb, float* po, int64_t n,
     });
 }
 
+/**
+ * The length of the block `small` repeats along `big`'s leading dims: its
+ * numel when its shape, leading 1s dropped, is a trailing suffix of big's
+ * (a bias row, a positional table), else 0.
+ */
+int64_t
+repeatedSuffixLength(const Shape& small, const Shape& big)
+{
+    auto first = std::find_if(small.begin(), small.end(),
+                              [](int64_t extent) { return extent != 1; });
+    const auto k = static_cast<size_t>(small.end() - first);
+    if (k > big.size() || !std::equal(first, small.end(), big.end() - k)) {
+        return 0;
+    }
+    return numelOf(small);
+}
+
+/** po[i] = f(pbig[i], prow[i % inner]) in contiguous runs, one per row
+ * segment of each kElemGrain chunk: the odometer walk's bits. */
+template <typename F>
+void
+rowBroadcastInto(const float* pbig, const float* prow, float* po, int64_t n,
+                 int64_t inner, F&& f)
+{
+    support::parallelFor(0, n, kElemGrain, [&](int64_t lo, int64_t hi) {
+        for (int64_t i = lo; i < hi;) {
+            const int64_t j = i % inner;
+            const int64_t len = std::min(hi - i, inner - j);
+            const float* big = pbig + i;
+            const float* row = prow + j;
+            float* out = po + i;
+            for (int64_t k = 0; k < len; ++k) out[k] = f(big[k], row[k]);
+            i += len;
+        }
+    });
+}
+
 /** Apply an elementwise binary functor with numpy broadcasting. Every
  * output element is written exactly once, so the output is allocated
  * uninitialized. */
@@ -67,11 +104,6 @@ broadcastBinary(const Tensor& a, const Tensor& b, F&& f)
     float* po = out.data();
     const int64_t n = out.numel();
 
-    // Fast path: identical shapes — one contiguous pass, no index math.
-    if (a.shape() == b.shape()) {
-        binarySameShapeInto(pa, pb, po, n, f);
-        return out;
-    }
     // Fast path: one operand is a single value (scale/shift tensors).
     if (b.numel() == 1) {
         const float s = pb[0];
@@ -85,6 +117,17 @@ broadcastBinary(const Tensor& a, const Tensor& b, F&& f)
         support::parallelFor(0, n, kElemGrain, [&](int64_t lo, int64_t hi) {
             for (int64_t i = lo; i < hi; ++i) po[i] = f(s, pb[i]);
         });
+        return out;
+    }
+    // Fast path: one operand repeats along the other's leading dims (equal
+    // shapes are the one-row case): contiguous runs, no index math.
+    if (const int64_t inner = repeatedSuffixLength(b.shape(), a.shape())) {
+        rowBroadcastInto(pa, pb, po, n, inner, f);
+        return out;
+    }
+    if (const int64_t inner = repeatedSuffixLength(a.shape(), b.shape())) {
+        rowBroadcastInto(pb, pa, po, n, inner,
+                         [&](float y, float x) { return f(x, y); });
         return out;
     }
 
@@ -874,28 +917,15 @@ linearBackward(const Tensor& grad_out, const Tensor& x, const Tensor& weight,
 
 namespace {
 
-/**
- * Row softmax core; `po` may alias `pa`: the max pass only reads, the
- * exp pass reads row[i] immediately before writing orow[i], and the
- * scale pass touches only the output — so in-place is bit-identical.
- */
+/** Row softmax through the dispatched kernel; `po` may alias `pa` (the
+ * kernel reads each block of a row before writing it), so in-place is
+ * bit-identical. */
 void
 softmaxInto(const float* pa, float* po, int64_t rows, int64_t d)
 {
+    const kernels::KernelTable& kt = kernels::kernels();
     support::parallelFor(0, rows, rowGrain(d), [&](int64_t lo, int64_t hi) {
-        for (int64_t r = lo; r < hi; ++r) {
-            const float* row = pa + r * d;
-            float* orow = po + r * d;
-            float max_v = row[0];
-            for (int64_t i = 1; i < d; ++i) max_v = std::max(max_v, row[i]);
-            double sum = 0.0;
-            for (int64_t i = 0; i < d; ++i) {
-                orow[i] = std::exp(row[i] - max_v);
-                sum += orow[i];
-            }
-            const float inv = static_cast<float>(1.0 / sum);
-            for (int64_t i = 0; i < d; ++i) orow[i] *= inv;
-        }
+        kt.softmax(pa + lo * d, po + lo * d, hi - lo, d);
     });
 }
 
@@ -953,27 +983,9 @@ layerNorm(const Tensor& x, const Tensor& gamma, const Tensor& beta, float eps)
     const float* pg = gamma.data();
     const float* pb = beta.data();
     float* po = out.data();
+    const kernels::KernelTable& kt = kernels::kernels();
     support::parallelFor(0, rows, rowGrain(d), [&](int64_t lo, int64_t hi) {
-        for (int64_t r = lo; r < hi; ++r) {
-            const float* row = px + r * d;
-            float* orow = po + r * d;
-            double mean = 0.0;
-            for (int64_t i = 0; i < d; ++i) mean += row[i];
-            mean /= d;
-            double var = 0.0;
-            for (int64_t i = 0; i < d; ++i) {
-                const double c = row[i] - mean;
-                var += c * c;
-            }
-            var /= d;
-            const float inv_std =
-                static_cast<float>(1.0 / std::sqrt(var + eps));
-            for (int64_t i = 0; i < d; ++i) {
-                orow[i] =
-                    (row[i] - static_cast<float>(mean)) * inv_std * pg[i] +
-                    pb[i];
-            }
-        }
+        kt.layer_norm(px + lo * d, pg, pb, eps, po + lo * d, hi - lo, d);
     });
     return out;
 }
@@ -1006,41 +1018,11 @@ layerNormBackward(const Tensor& grad_out, const Tensor& x, const Tensor& gamma,
     std::vector<float> partials(static_cast<size_t>(num_chunks) * 2 * d,
                                 0.0f);
 
+    const kernels::KernelTable& kt = kernels::kernels();
     support::parallelFor(0, rows, grain, [&](int64_t lo, int64_t hi) {
         float* part_dg = partials.data() + (lo / grain) * 2 * d;
-        float* part_db = part_dg + d;
-        for (int64_t r = lo; r < hi; ++r) {
-            const float* row = px + r * d;
-            const float* go = pgo + r * d;
-            float* dx = pdx + r * d;
-            double mean = 0.0;
-            for (int64_t i = 0; i < d; ++i) mean += row[i];
-            mean /= d;
-            double var = 0.0;
-            for (int64_t i = 0; i < d; ++i) {
-                const double c = row[i] - mean;
-                var += c * c;
-            }
-            var /= d;
-            const double inv_std = 1.0 / std::sqrt(var + eps);
-
-            double sum_gxhat = 0.0;
-            double sum_g = 0.0;
-            for (int64_t i = 0; i < d; ++i) {
-                const double xhat = (row[i] - mean) * inv_std;
-                const double g = go[i] * pg[i];
-                sum_gxhat += g * xhat;
-                sum_g += g;
-                part_dg[i] += static_cast<float>(go[i] * xhat);
-                part_db[i] += go[i];
-            }
-            for (int64_t i = 0; i < d; ++i) {
-                const double xhat = (row[i] - mean) * inv_std;
-                const double g = go[i] * pg[i];
-                dx[i] = static_cast<float>(
-                    inv_std * (g - sum_g / d - xhat * sum_gxhat / d));
-            }
-        }
+        kt.layer_norm_backward(pgo + lo * d, px + lo * d, pg, eps, pdx + lo * d,
+                               part_dg, part_dg + d, hi - lo, d);
     });
     for (int64_t c = 0; c < num_chunks; ++c) {
         const float* part_dg = partials.data() + c * 2 * d;
@@ -1299,44 +1281,61 @@ mseLossBackward(const Tensor& pred, const Tensor& target)
     return out;
 }
 
-Tensor
-crossEntropy(const Tensor& logits, const Tensor& targets)
+namespace {
+
+/** The logits' row count, once every target is one per row and in
+ * [0, vocab): the row kernels index the row with it. */
+int64_t
+checkedTargetRows(const char* op, const Tensor& logits, const Tensor& targets)
 {
     const int64_t vocab = logits.size(-1);
     const int64_t rows = logits.numel() / vocab;
-    SLAPO_CHECK(targets.numel() == rows, "crossEntropy: target count mismatch");
-    Tensor probs = softmax(logits);
-    const float* pp = probs.data();
+    SLAPO_CHECK(targets.numel() == rows, op << ": target count mismatch");
     const float* pt = targets.data();
-    double acc = 0.0;
     for (int64_t r = 0; r < rows; ++r) {
         const int64_t t = static_cast<int64_t>(pt[r]);
-        SLAPO_CHECK(t >= 0 && t < vocab, "crossEntropy: bad target " << t);
-        acc -= std::log(std::max(pp[r * vocab + t], 1e-12f));
+        SLAPO_CHECK(t >= 0 && t < vocab, op << ": bad target " << t);
     }
+    return rows;
+}
+
+} // namespace
+
+Tensor
+crossEntropy(const Tensor& logits, const Tensor& targets)
+{
+    const int64_t rows = checkedTargetRows("crossEntropy", logits, targets);
+    const int64_t vocab = logits.size(-1);
+    const float* px = logits.data();
+    const float* pt = targets.data();
+    std::vector<double> row_loss(static_cast<size_t>(rows));
+    const kernels::KernelTable& kt = kernels::kernels();
+    support::parallelFor(0, rows, rowGrain(vocab), [&](int64_t lo, int64_t hi) {
+        kt.cross_entropy(px + lo * vocab, pt + lo, row_loss.data() + lo,
+                         hi - lo, vocab);
+    });
+    double acc = 0.0;
+    for (double l : row_loss) acc += l;
     return Tensor::fromValues({1}, {static_cast<float>(acc / rows)});
 }
 
 Tensor
-crossEntropyBackward(const Tensor& logits, const Tensor& targets)
+crossEntropyBackward(const Tensor& logits, const Tensor& targets,
+                     float scale)
 {
+    const int64_t rows =
+        checkedTargetRows("crossEntropyBackward", logits, targets);
     const int64_t vocab = logits.size(-1);
-    const int64_t rows = logits.numel() / vocab;
-    SLAPO_CHECK(targets.numel() == rows,
-                "crossEntropyBackward: target count mismatch");
-    Tensor grad = softmax(logits);
-    float* pg = grad.data();
+    Tensor grad = Tensor::empty(logits.shape());
+    const float* px = logits.data();
     const float* pt = targets.data();
-    const float inv = 1.0f / static_cast<float>(rows);
-    for (int64_t r = 0; r < rows; ++r) {
-        const int64_t t = static_cast<int64_t>(pt[r]);
-        SLAPO_CHECK(t >= 0 && t < vocab,
-                    "crossEntropyBackward: bad target " << t);
-        pg[r * vocab + t] -= 1.0f;
-    }
-    for (int64_t i = 0; i < grad.numel(); ++i) {
-        pg[i] *= inv;
-    }
+    float* pg = grad.data();
+    const float row_scale = scale / static_cast<float>(rows);
+    const kernels::KernelTable& kt = kernels::kernels();
+    support::parallelFor(0, rows, rowGrain(vocab), [&](int64_t lo, int64_t hi) {
+        kt.cross_entropy_backward(px + lo * vocab, pt + lo, row_scale,
+                                  pg + lo * vocab, hi - lo, vocab);
+    });
     return grad;
 }
 

@@ -193,10 +193,14 @@ Tensor mseLossBackward(const Tensor& pred, const Tensor& target);
 
 /**
  * Mean cross-entropy between logits[..., vocab] and integer targets[...].
- * Returns scalar [1].
+ * Returns scalar [1]. Each token's loss is capped at -log(1e-12f), a
+ * 1e-12 floor on its probability.
  */
 Tensor crossEntropy(const Tensor& logits, const Tensor& targets);
-Tensor crossEntropyBackward(const Tensor& logits, const Tensor& targets);
+/** Gradient of crossEntropy wrt the logits, times `scale` (the loss's
+ * upstream gradient): (softmax - one-hot) * scale / rows, in one pass. */
+Tensor crossEntropyBackward(const Tensor& logits, const Tensor& targets,
+                            float scale = 1.0f);
 
 // --- convolution (WideResNet substrate; forward only) ------------------------
 

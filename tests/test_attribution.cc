@@ -600,6 +600,37 @@ userRows(TrainerT& trainer,
     return rowCounts(profiler);
 }
 
+TEST(Attribution, CheckpointRecomputeRowsNameTheirModule)
+{
+    // A checkpointed layer's forward runs again inside the backward walk;
+    // those rows, and the recomputed layer's nested modules, carry the
+    // layer's own path, so every row's module resolves in the model.
+    obs::clearProvenance();
+    auto model = runtime::withCrossEntropyLoss(models::buildTinyModel("bert"));
+    model->initializeParams(191);
+    auto sch = core::Schedule::create(model);
+    (*sch)["model.encoder.layer.1"].checkpoint();
+    runtime::Trainer trainer(model);
+    obs::OpProfiler profiler;
+    {
+        obs::OpProfilerGuard guard(&profiler);
+        trainer.step({{Tensor::randint({2, 8}, 64, 193),
+                       Tensor::randint({2, 8}, 64, 194)}});
+    }
+    int64_t recomputed = 0;
+    for (const obs::OpStats& s : profiler.report()) {
+        EXPECT_NO_THROW(model->findByPath(s.module_path))
+            << s.op << " under " << s.module_path;
+        if (s.module_path.starts_with("model.encoder.layer.1.") &&
+            !s.op.ends_with(".bwd")) {
+            recomputed += s.count;
+        }
+    }
+    // The layer's forward rows: once in the forward, once recomputed.
+    EXPECT_GT(recomputed, 0);
+    obs::clearProvenance();
+}
+
 TEST(Attribution, StepReportsLeaveUserProfilerRowsUnchanged)
 {
     obs::clearProvenance();

@@ -553,6 +553,50 @@ TEST(ParallelDeterminism, LayerNormForwardBackward)
     });
 }
 
+/** Rows of width d that fill three row chunks and part of a fourth
+ * (ops.cc's rowGrain), so 2 and 7 threads really split them. */
+int64_t
+rowsSpanningChunks(int64_t d)
+{
+    return 3 * std::max<int64_t>(1, (1 << 14) / d) + 5;
+}
+
+TEST(ParallelDeterminism, RowKernelsForwardBackward)
+{
+    // Widths on both sides of the 16 lanes, with scores masked as
+    // causalMask does (-1e9 added) in the softmax and cross-entropy input.
+    for (int64_t d : {1, 15, 17, 64, 2047}) {
+        SCOPED_TRACE("width " + std::to_string(d));
+        const int64_t rows = rowsSpanningChunks(d);
+        Tensor scores = Tensor::uniform({rows, d}, 4.0f, 30 + d);
+        float* ps = scores.data();
+        for (int64_t r = 0; r < rows; ++r) {
+            for (int64_t i = r % d + 1; i < d; i += 3) ps[r * d + i] += -1e9f;
+        }
+        const Tensor targets = Tensor::randint({rows}, d, 31 + d);
+        const Tensor x = Tensor::uniform({rows, d}, 2.0f, 32 + d);
+        const Tensor gamma = Tensor::uniform({d}, 1.0f, 33 + d);
+        const Tensor beta = Tensor::uniform({d}, 1.0f, 34 + d);
+        const Tensor g = Tensor::uniform({rows, d}, 1.0f, 35 + d);
+        expectBitIdentical([&] {
+            const Tensor y = ops::softmax(scores);
+            Tensor in_place = scores.clone();
+            ops::softmaxInPlace(in_place);
+            EXPECT_TRUE(sameBits(in_place, y));
+            ops::LayerNormGrads lg = ops::layerNormBackward(g, x, gamma, 1e-5f);
+            return std::vector<Tensor>{
+                y,
+                ops::crossEntropy(scores, targets),
+                ops::crossEntropyBackward(scores, targets, 0.75f),
+                ops::layerNorm(x, gamma, beta, 1e-5f),
+                lg.grad_x,
+                lg.grad_gamma,
+                lg.grad_beta,
+            };
+        });
+    }
+}
+
 TEST(ParallelDeterminism, ElementwiseAndReduce)
 {
     Tensor a = Tensor::uniform({5, 64, 33}, 1.0f, 13);
@@ -712,6 +756,24 @@ TEST(BroadcastPaths, FastPathMatchesStridedPath)
     }
     EXPECT_EQ(maxAbsDiff(ops::add(a, row), ops::add(a, tiled)), 0.0f);
     EXPECT_EQ(maxAbsDiff(ops::mul(a, row), ops::mul(a, tiled)), 0.0f);
+    // A row ([17]) or a table ([1, 32, 17]) that repeats along the leading
+    // dims takes the row path, on either side of the operator; the row's
+    // values broadcast from [6, 1, 17] walk the odometer, and the table
+    // is checked against one float operation per element.
+    Tensor row6 = Tensor::zeros({6, 1, 17});
+    for (int64_t i = 0; i < row6.numel(); ++i) row6.set(i, row.at(i % 17));
+    EXPECT_TRUE(sameBits(ops::add(a, row), ops::add(a, row6)));
+    EXPECT_TRUE(sameBits(ops::sub(row, a), ops::sub(row6, a)));
+    EXPECT_TRUE(sameBits(ops::div(a, row), ops::div(a, row6)));
+    const Tensor table = Tensor::uniform({1, 32, 17}, 1.0f, 18);
+    Tensor sum = Tensor::zeros(a.shape());
+    Tensor diff = Tensor::zeros(a.shape());
+    for (int64_t i = 0; i < a.numel(); ++i) {
+        sum.set(i, a.at(i) + table.at(i % (32 * 17)));
+        diff.set(i, table.at(i % (32 * 17)) - a.at(i));
+    }
+    EXPECT_TRUE(sameBits(ops::add(a, table), sum));
+    EXPECT_TRUE(sameBits(ops::sub(table, a), diff));
 }
 
 TEST(BroadcastPaths, ScalarOperandMatchesStridedPath)
@@ -793,6 +855,358 @@ TEST(ParallelDeterminism, GlobalGradNormWithinLongDoubleReference)
     EXPECT_LE(std::abs(static_cast<long double>(got) - reference) / reference,
               1e-12L)
         << got << " vs " << static_cast<double>(reference);
+}
+
+// --- row kernels against a long double reference -----------------------------
+//
+// The bounds docs/PERFORMANCE.md states for the row kernels, in units of
+// u = 2^-24, held on every ISA path over rows of widths around the 16
+// lanes and the mid model's vocabulary: logits over a narrow and a wide
+// range, at an offset, and with masked (-1e9) and -inf entries.
+
+constexpr long double kU = 0x1p-24L;
+/** The largest p softmax flushes to 0: e^(x_i - max) below e^-87, where
+ * x_i - max may round down across -87. */
+const long double kFlushed = std::exp(-86.99L);
+
+/** The relative part of a row kernel bound: c u p, where a p of exactly
+ * 0 (e^-inf) contributes nothing, whatever its distance from the max. */
+long double
+relativeTerm(long double c, long double p)
+{
+    return p > 0 ? c * kU * p : 0;
+}
+
+/** Exact softmax terms of one float row. */
+struct RowReference
+{
+    long double max = 0;
+    long double lse = 0;  ///< log(sum_i e^(x_i - max))
+    long double zbar = 0; ///< sum_i p_i |x_i - max|: the row's exp error
+    std::vector<long double> p;
+};
+
+RowReference
+referenceRow(const float* x, int64_t d)
+{
+    RowReference ref;
+    ref.max = *std::max_element(x, x + d);
+    long double sum = 0;
+    long double weighted = 0;
+    for (int64_t i = 0; i < d; ++i) {
+        const long double z = x[i] - ref.max;
+        ref.p.push_back(std::exp(z));
+        sum += ref.p.back();
+        if (ref.p.back() > 0) weighted -= ref.p.back() * z;
+    }
+    for (long double& p : ref.p) p /= sum;
+    ref.lse = std::log(sum);
+    ref.zbar = weighted / sum;
+    return ref;
+}
+
+/** Score rows for the softmax and cross-entropy bounds. The first element
+ * of every row stays finite, so no row is all -inf. */
+std::vector<Tensor>
+boundScores()
+{
+    std::vector<Tensor> sets;
+    uint64_t seed = 70;
+    for (int64_t d : {1, 15, 16, 17, 64, 2047, 2048}) {
+        sets.push_back(Tensor::uniform({9, d}, 4.0f, ++seed));
+        sets.push_back(Tensor::uniform({9, d}, 60.0f, ++seed));
+        Tensor masked = Tensor::uniform({9, d}, 4.0f, ++seed);
+        float* p = masked.data();
+        for (int64_t i = 0; i < masked.numel(); ++i) {
+            if (i % d == 0) continue;
+            if (i % 5 == 1) {
+                p[i] += -1e9f;
+            } else if (i % 7 == 3) {
+                p[i] = -std::numeric_limits<float>::infinity();
+            } else {
+                p[i] += 1000.0f;
+            }
+        }
+        sets.push_back(masked);
+    }
+    return sets;
+}
+
+/** Run `check(isa)` on every ISA path, with that path active. */
+void
+onEveryPath(const std::function<void(kernels::Isa)>& check)
+{
+    IsaGuard isa_guard;
+    for (kernels::Isa isa : availableIsas()) {
+        kernels::setIsaForTesting(isa);
+        SCOPED_TRACE(kernels::isaName(isa));
+        check(isa);
+    }
+}
+
+TEST(RowKernels, SoftmaxWithinBoundOfLongDoubleReference)
+{
+    // |p - p*| <= (4 + |x_i - max| + zbar) u p* + e^-86.99: the exp is
+    // within 2 u, rounding x_i - max costs |x_i - max| u, the row sum
+    // carries the exps' errors (zbar u), and 1 / sum and the product
+    // round once each; the flush below e^-87 is the absolute term.
+    const std::vector<Tensor> sets = boundScores();
+    onEveryPath([&](kernels::Isa isa) {
+        long double worst = 0;
+        for (const Tensor& x : sets) {
+            const int64_t d = x.size(-1);
+            const Tensor y = ops::softmax(x);
+            for (int64_t r = 0; r < x.size(0); ++r) {
+                const RowReference ref = referenceRow(x.data() + r * d, d);
+                for (int64_t i = 0; i < d; ++i) {
+                    const long double z = ref.max - x.data()[r * d + i];
+                    const long double bound =
+                        relativeTerm(4 + z + ref.zbar, ref.p[i]) + kFlushed;
+                    const long double err =
+                        std::fabs(y.data()[r * d + i] - ref.p[i]);
+                    ASSERT_LE(err, bound)
+                        << "width " << d << " row " << r << " col " << i;
+                    worst = std::max(worst, err / bound);
+                }
+            }
+        }
+        std::printf("%s: softmax error up to %.3Lg of the bound\n",
+                    kernels::isaName(isa), worst);
+    });
+}
+
+TEST(RowKernels, CrossEntropyWithinBoundOfLongDoubleReference)
+{
+    // Each token's loss min(lse - z_t, -log(1e-12f)) is within
+    // (3 + zbar) u of the exact one (the row sum's error, as in softmax;
+    // the log and the rest are double), and the mean rounds once to
+    // float. The backward's element is within
+    // |s| ((4 + |x_i - max| + zbar) u p*_i + 4 u |p*_i - [i = t]| + e^-86.99)
+    // of (p*_i - [i = t]) s, s = scale / rows.
+    const std::vector<Tensor> sets = boundScores();
+    const long double cap = -std::log(static_cast<long double>(1e-12f));
+    constexpr float kScale = 0.75f;
+    onEveryPath([&](kernels::Isa isa) {
+        long double worst_fwd = 0;
+        long double worst_bwd = 0;
+        for (const Tensor& x : sets) {
+            const int64_t rows = x.size(0);
+            const int64_t d = x.size(-1);
+            const Tensor targets = Tensor::randint({rows}, d, 90 + d);
+            const float loss = ops::crossEntropy(x, targets).at(0);
+            const Tensor grad = ops::crossEntropyBackward(x, targets, kScale);
+            const long double s = static_cast<long double>(kScale) / rows;
+            long double exact = 0;
+            long double row_error = 0;
+            for (int64_t r = 0; r < rows; ++r) {
+                const float* xr = x.data() + r * d;
+                const RowReference ref = referenceRow(xr, d);
+                const auto t = static_cast<int64_t>(targets.at(r));
+                exact += std::min(ref.lse - (xr[t] - ref.max), cap);
+                row_error += (3 + ref.zbar) * kU;
+                for (int64_t i = 0; i < d; ++i) {
+                    const long double onehot = i == t ? 1 : 0;
+                    const long double z = ref.max - xr[i];
+                    const long double bound =
+                        s * (relativeTerm(4 + z + ref.zbar, ref.p[i]) +
+                             4 * kU * std::fabs(ref.p[i] - onehot) +
+                             kFlushed);
+                    const long double err = std::fabs(
+                        grad.data()[r * d + i] - (ref.p[i] - onehot) * s);
+                    ASSERT_LE(err, bound)
+                        << "width " << d << " row " << r << " col " << i;
+                    worst_bwd = std::max(worst_bwd, err / bound);
+                }
+            }
+            exact /= rows;
+            const long double bound = kU * std::fabs(exact) + row_error / rows;
+            const long double err = std::fabs(loss - exact);
+            ASSERT_LE(err, bound) << "width " << d;
+            worst_fwd = std::max(worst_fwd, err / bound);
+        }
+        std::printf("%s: cross-entropy error up to %.3Lg of the bound, "
+                    "backward %.3Lg\n",
+                    kernels::isaName(isa), worst_fwd, worst_bwd);
+    });
+}
+
+TEST(RowKernels, LayerNormWithinBoundOfLongDoubleReference)
+{
+    // Forward: |y - y*| <= 4 u (|gamma| sigma (|mean| + |x - mean|) + |beta|),
+    // sigma = 1 / sqrt(var + eps): the moments are double, and the float
+    // formula rounds the mean, the difference and three products. Backward
+    // (double until the end): |dx - dx*| <= u |dx*| + 2^-36 sigma
+    // (|g| + |mean_g| + (|xhat| + sigma |mean|) |mean_gxhat|), g = grad gamma;
+    // gamma's and beta's gradients are float sums over the R rows, within
+    // gamma_{R+1} of the sum of |terms|.
+    uint64_t seed = 110;
+    onEveryPath([&](kernels::Isa isa) {
+        long double worst[4] = {};
+        for (int64_t d : {1, 15, 16, 17, 256, 2049}) {
+            for (float offset : {0.0f, 30.0f}) {
+                const int64_t rows = 37;
+                Tensor x = Tensor::uniform({rows, d}, 2.0f, ++seed);
+                float* px = x.data();
+                for (int64_t i = 0; i < x.numel(); ++i) px[i] += offset;
+                const Tensor gamma = Tensor::uniform({d}, 1.5f, ++seed);
+                const Tensor beta = Tensor::uniform({d}, 1.0f, ++seed);
+                const Tensor go = Tensor::uniform({rows, d}, 1.0f, ++seed);
+                const float eps = 1e-5f;
+                const Tensor y = ops::layerNorm(x, gamma, beta, eps);
+                const ops::LayerNormGrads grads =
+                    ops::layerNormBackward(go, x, gamma, eps);
+                std::vector<long double> dgamma(d), dbeta(d), dgamma_mag(d),
+                    dbeta_mag(d);
+                for (int64_t r = 0; r < rows; ++r) {
+                    const float* xr = px + r * d;
+                    const float* gr = go.data() + r * d;
+                    long double mean = 0;
+                    for (int64_t i = 0; i < d; ++i) mean += xr[i];
+                    mean /= d;
+                    long double var = 0;
+                    for (int64_t i = 0; i < d; ++i) {
+                        var += (xr[i] - mean) * (xr[i] - mean);
+                    }
+                    var /= d;
+                    const long double sigma = 1 / std::sqrt(var + eps);
+                    long double mean_g = 0;
+                    long double mean_gx = 0;
+                    for (int64_t i = 0; i < d; ++i) {
+                        const long double xhat = (xr[i] - mean) * sigma;
+                        const long double g =
+                            static_cast<long double>(gr[i]) * gamma.at(i);
+                        mean_g += g;
+                        mean_gx += g * xhat;
+                        dgamma[i] += gr[i] * xhat;
+                        dgamma_mag[i] += std::fabs(gr[i] * xhat);
+                        dbeta[i] += gr[i];
+                        dbeta_mag[i] += std::fabs(gr[i]);
+                    }
+                    mean_g /= d;
+                    mean_gx /= d;
+                    for (int64_t i = 0; i < d; ++i) {
+                        const long double xhat = (xr[i] - mean) * sigma;
+                        const long double g =
+                            static_cast<long double>(gr[i]) * gamma.at(i);
+                        const long double y_exact =
+                            xhat * gamma.at(i) + beta.at(i);
+                        const long double y_bound =
+                            4 * kU *
+                            (std::fabs(gamma.at(i)) * sigma *
+                                 (std::fabs(mean) + std::fabs(xr[i] - mean)) +
+                             std::fabs(beta.at(i)));
+                        const long double y_err =
+                            std::fabs(y.data()[r * d + i] - y_exact);
+                        ASSERT_LE(y_err, y_bound)
+                            << "width " << d << " row " << r;
+                        worst[0] = std::max(worst[0], y_err / y_bound);
+                        const long double dx_exact =
+                            sigma * (g - mean_g - xhat * mean_gx);
+                        const long double dx_bound =
+                            kU * std::fabs(dx_exact) +
+                            0x1p-36L * sigma *
+                                (std::fabs(g) + std::fabs(mean_g) +
+                                 (std::fabs(xhat) + sigma * std::fabs(mean)) *
+                                     std::fabs(mean_gx));
+                        const long double dx_err = std::fabs(
+                            grads.grad_x.data()[r * d + i] - dx_exact);
+                        ASSERT_LE(dx_err, dx_bound)
+                            << "width " << d << " row " << r;
+                        worst[1] = std::max(worst[1], dx_err / dx_bound);
+                    }
+                }
+                const long double gamma_r =
+                    (rows + 1) * kU / (1 - (rows + 1) * kU);
+                for (int64_t i = 0; i < d; ++i) {
+                    const long double dg_err =
+                        std::fabs(grads.grad_gamma.at(i) - dgamma[i]);
+                    const long double db_err =
+                        std::fabs(grads.grad_beta.at(i) - dbeta[i]);
+                    ASSERT_LE(dg_err, gamma_r * dgamma_mag[i]) << "width " << d;
+                    ASSERT_LE(db_err, gamma_r * dbeta_mag[i]) << "width " << d;
+                    worst[2] = std::max(worst[2],
+                                        dg_err / (gamma_r * dgamma_mag[i]));
+                    worst[3] = std::max(worst[3],
+                                        db_err / (gamma_r * dbeta_mag[i]));
+                }
+            }
+        }
+        std::printf("%s: layer norm error up to %.3Lg of the bound, backward "
+                    "dx %.3Lg, dgamma %.3Lg, dbeta %.3Lg\n",
+                    kernels::isaName(isa), worst[0], worst[1], worst[2],
+                    worst[3]);
+    });
+}
+
+TEST(RowKernels, EdgeCasesBehaveAsBefore)
+{
+    const float inf = std::numeric_limits<float>::infinity();
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    onEveryPath([&](kernels::Isa) {
+        // Masked scores give exactly 0, -inf entries too; a NaN or +inf
+        // entry, or a row of -inf only, makes the whole row NaN.
+        const Tensor x = Tensor::fromValues(
+            {5, 17}, {
+                0.5f, -1e9f, 1.0f, -1e9f, 2.0f, -1e9f, 0.0f, -1e9f, 1.0f,
+                -1e9f, 0.5f, -1e9f, 0.25f, -1e9f, 3.0f, -1e9f, -1e9f,
+                1.0f, -inf, 2.0f, -inf, 0.0f, -inf, -inf, 1.0f, 0.5f,
+                -inf, 0.5f, 1.0f, -inf, 2.0f, 0.0f, 1.5f, -inf,
+                1.0f, nan, 2.0f, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                1.0f, 2.0f, inf, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                -inf, -inf, -inf, -inf, -inf, -inf, -inf, -inf, -inf, -inf,
+                -inf, -inf, -inf, -inf, -inf, -inf, -inf,
+            });
+        const Tensor y = ops::softmax(x);
+        float sum = 0;
+        for (int64_t i = 0; i < 17; ++i) {
+            if (x.at(i) == -1e9f) {
+                EXPECT_EQ(y.at(i), 0.0f) << i;
+            }
+            if (x.at(17 + i) == -inf) {
+                EXPECT_EQ(y.at(17 + i), 0.0f) << i;
+            }
+            sum += y.at(i);
+            EXPECT_TRUE(std::isnan(y.at(2 * 17 + i))) << i;
+            EXPECT_TRUE(std::isnan(y.at(3 * 17 + i))) << i;
+            EXPECT_TRUE(std::isnan(y.at(4 * 17 + i))) << i;
+        }
+        EXPECT_NEAR(sum, 1.0f, 1e-6f);
+        // Width 1 gives 1; a zero-row input gives an empty output.
+        EXPECT_EQ(ops::softmax(Tensor::fromValues({3, 1}, {-5, 0, 7})).at(2),
+                  1.0f);
+        EXPECT_EQ(ops::softmax(Tensor::zeros({0, 16})).numel(), 0);
+        EXPECT_EQ(ops::layerNorm(Tensor::zeros({0, 16}), Tensor::zeros({16}),
+                                 Tensor::zeros({16}), 1e-5f)
+                      .numel(),
+                  0);
+        // Width-1 layer norm is beta.
+        EXPECT_EQ(ops::layerNorm(Tensor::fromValues({2, 1}, {3, -4}),
+                                 Tensor::full({1}, 2.0f),
+                                 Tensor::full({1}, 0.5f), 1e-5f)
+                      .at(1),
+                  0.5f);
+
+        // The 1e-12 probability floor: a masked or -inf target costs
+        // exactly -log(1e-12f), and its gradient is -scale / rows.
+        const float cap =
+            static_cast<float>(-std::log(static_cast<double>(1e-12f)));
+        const Tensor two = Tensor::fromValues({2, 17}, std::vector<float>(
+            x.data(), x.data() + 34));
+        EXPECT_EQ(ops::crossEntropy(two, Tensor::fromValues({2}, {1, 1})).at(0),
+                  cap);
+        const Tensor grad = ops::crossEntropyBackward(
+            two, Tensor::fromValues({2}, {1, 1}), 3.0f);
+        EXPECT_EQ(grad.at(1), -1.5f);
+        EXPECT_EQ(grad.at(17 + 1), -1.5f);
+        // A NaN row gives a NaN loss and NaN gradients.
+        const Tensor nan_row = Tensor::fromValues(
+            {1, 17}, std::vector<float>(x.data() + 34, x.data() + 51));
+        EXPECT_TRUE(std::isnan(
+            ops::crossEntropy(nan_row, Tensor::fromValues({1}, {0})).at(0)));
+        EXPECT_TRUE(std::isnan(
+            ops::crossEntropyBackward(nan_row, Tensor::fromValues({1}, {0}))
+                .at(5)));
+    });
 }
 
 } // namespace

@@ -702,6 +702,67 @@ TEST(Autograd, ChildCalledWithTwoShapesGetsAGraphPerShape)
     }
 }
 
+/** loss = mse(h, t2) + mse(reshape(h), t1) with h = x W^T: the reshape's
+ * gradient, a view of its own slot, reaches h before mse(h)'s does. */
+class ReshapeTwoLosses : public nn::Module
+{
+  public:
+    ReshapeTwoLosses() : Module("ReshapeTwoLosses")
+    {
+        registerParam("weight", Tensor::meta({6, 4}));
+    }
+
+    std::vector<nn::Value>
+    forward(const std::vector<nn::Value>& inputs) override
+    {
+        nn::Value h = nn::F::linear(inputs[0], param("weight"), nn::Value());
+        nn::Value direct = nn::F::mseLoss(h, inputs[2]);
+        nn::Value flat = nn::F::reshape(h, {3, 2, 6});
+        return {nn::F::add(nn::F::mseLoss(flat, inputs[1]), direct)};
+    }
+
+    ModulePtr
+    clone() const override
+    {
+        auto m = std::make_shared<ReshapeTwoLosses>();
+        cloneInto(m.get());
+        return m;
+    }
+};
+
+TEST(Autograd, ReshapeGradientViewMeetsSecondGradient)
+{
+    // Backward adopts a rule's fresh gradient as a slot's first value and
+    // adds later ones into it in place; the reshape's gradient shares its
+    // slot's storage, so it must be copied, not adopted.
+    auto model = std::make_shared<ReshapeTwoLosses>();
+    model->initializeParams(61);
+    const std::vector<Tensor> inputs = {Tensor::uniform({6, 4}, 1.0f, 62),
+                                        Tensor::uniform({3, 2, 6}, 1.0f, 63),
+                                        Tensor::uniform({6, 6}, 1.0f, 64)};
+    auto eager_loss = [&] {
+        std::vector<nn::Value> values;
+        for (const Tensor& t : inputs) values.emplace_back(t);
+        return model->callOne(values).tensor().at(0);
+    };
+
+    AutogradEngine engine;
+    GradResult result = engine.run(*model, inputs);
+    EXPECT_EQ(result.outputs[0].at(0), eager_loss());
+    Tensor& w = model->paramTensor("weight");
+    const Tensor analytic = AutogradEngine::gradFor(result, w);
+    for (int64_t i = 0; i < w.numel(); ++i) {
+        const float eps = 1e-3f;
+        const float orig = w.at(i);
+        w.set(i, orig + eps);
+        const float up = eager_loss();
+        w.set(i, orig - eps);
+        const float down = eager_loss();
+        w.set(i, orig);
+        EXPECT_NEAR(analytic.at(i), (up - down) / (2 * eps), 5e-3f);
+    }
+}
+
 // --- trainers -------------------------------------------------------------------
 
 TEST(Trainer, GradientAccumulationAveragesMicroBatches)
