@@ -121,6 +121,25 @@ BM_TensorSoftmax(benchmark::State& state)
 BENCHMARK(BM_TensorSoftmax);
 
 void
+BM_AttentionForwardBackward(benchmark::State& state)
+{
+    // The mid model's fused attention: the packed QKV of a [4, 64] batch,
+    // hidden 256 in 4 heads of 64, forward then backward.
+    Tensor qkv = Tensor::uniform({4, 64, 768}, 1.0f, 11);
+    Tensor grad = Tensor::uniform({4, 64, 256}, 1.0f, 12);
+    const ops::AttentionSpec spec{64, false, 0.0f, 0};
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(ops::attention({qkv}, spec));
+        benchmark::DoNotOptimize(ops::attentionBackward(grad, {qkv}, spec));
+    }
+    // Forward 2 GEMMs, backward 4 plus the recomputed one, each
+    // 2 * 64^3 flops per head, over 4 x 4 heads.
+    state.SetItemsProcessed(state.iterations() * 7 * 2 * 4 * 4 * 64 * 64 *
+                            64);
+}
+BENCHMARK(BM_AttentionForwardBackward);
+
+void
 BM_TensorGelu(benchmark::State& state)
 {
     Tensor x = Tensor::uniform({256, 1024}, 3.0f, 9);

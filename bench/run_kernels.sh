@@ -5,7 +5,8 @@
 # linear at the mid model's wide shapes and its backward, fc1 forced onto
 # the baseline (SSE2) path, whose fused multiply-add is emulated, layernorm
 # and its backward, softmax, cross-entropy and its backward at the mid
-# model's loss shape, and gelu with its backward — plus the
+# model's loss shape, gelu with its backward, the fused attention's
+# forward and backward at the mid model's shape — plus the
 # caching-allocator A/B (BM_AllocStep / BM_AllocAcquireRelease, pool=0 vs
 # pool=1).
 #
@@ -24,7 +25,7 @@ fi
 
 out="$repo_root/BENCH_kernels.json"
 "$bench_bin" \
-    --benchmark_filter='BM_Tensor(Matmul|MatmulThreads|Linear|LinearThreads|LinearBaselineIsa|LinearBackward|LayerNorm|LayerNormBackward|Softmax|CrossEntropy|CrossEntropyBackward|Gelu|GeluBackward)|BM_Alloc(Step|AcquireRelease)' \
+    --benchmark_filter='BM_Tensor(Matmul|MatmulThreads|Linear|LinearThreads|LinearBaselineIsa|LinearBackward|LayerNorm|LayerNormBackward|Softmax|CrossEntropy|CrossEntropyBackward|Gelu|GeluBackward)|BM_AttentionForwardBackward|BM_Alloc(Step|AcquireRelease)' \
     --benchmark_format=json \
     --benchmark_out="$out" \
     --benchmark_out_format=json

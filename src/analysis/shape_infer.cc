@@ -200,6 +200,43 @@ GraphInfer::inferCallOp(const Node* node, ValueInfo& out)
         is_float = true;
         break;
       }
+      case OpKind::Attention: {
+        // (qkv | q, k, v) then an optional [heads, 2b - 1] bias table.
+        const bool packed = arity <= 2;
+        const Shape* k = packed ? a : b;
+        const Shape* v = inShape(node, packed ? 0 : 2);
+        const Shape* table = arity % 2 == 0 ? inShape(node, arity - 1)
+                                            : nullptr;
+        if (arity == 0 || arity > 4 || a == nullptr || k == nullptr ||
+            v == nullptr || !node->hasAttr("head_dim") ||
+            (arity % 2 == 0 && table == nullptr)) {
+            badInputs(node, "attention needs (qkv | q, k, v[, table])");
+            break;
+        }
+        const int64_t head_dim = node->attrInt("head_dim");
+        const int64_t width = a->size() == 3 ? (*a)[2] : 0;
+        const int64_t hidden = packed ? width / 3 : width;
+        if (a->size() != 3 || head_dim <= 0 ||
+            (packed && width % 3 != 0) || hidden % head_dim != 0 ||
+            (!packed && (k->size() != 3 || *k != *v || (*k)[0] != (*a)[0] ||
+                         (*k)[2] != hidden))) {
+            badInputs(node, "q " + shapeToString(*a) + ", k " +
+                                shapeToString(*k) + ", v " +
+                                shapeToString(*v) + " with head dim " +
+                                std::to_string(head_dim));
+            break;
+        }
+        if (table != nullptr &&
+            (table->size() != 2 || (*table)[0] != hidden / head_dim)) {
+            badInputs(node, "bias table " + shapeToString(*table) +
+                                " is not indexed by the " +
+                                std::to_string(hidden / head_dim) + " heads");
+            break;
+        }
+        computed = Shape{(*a)[0], (*a)[1], hidden};
+        is_float = true;
+        break;
+      }
       case OpKind::LayerNormOp:
       case OpKind::BatchNormOp: {
         if (arity != 3 || a == nullptr) {

@@ -651,6 +651,23 @@ Walker::transferOp(const Node* node, const std::vector<DistState>& in,
             return DistState::unknown();
         }
         return a;
+      case OpKind::Attention: {
+        // What the decomposed ops give: a partial q, k or v reaches a
+        // score or context matmul; replicated ones stay replicated; a
+        // head-split layout is not tracked through the head reshapes.
+        const size_t operands = node->inputs().size() <= 2 ? 1 : 3;
+        bool all_replicated = true;
+        for (size_t i = 0; i < operands; ++i) {
+            const DistState s = inputAt(in, i);
+            if (s.is(Kind::PartialSum)) {
+                reportPartialConsumer(path, node, "an attention op");
+                return DistState::unknown();
+            }
+            all_replicated = all_replicated && s.is(Kind::Replicated);
+        }
+        return all_replicated ? DistState::replicated()
+                              : DistState::unknown();
+      }
       case OpKind::LinearOp: {
         if (a.is(Kind::PartialSum)) {
             reportPartialConsumer(path, node, "a linear projection");

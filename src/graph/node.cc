@@ -24,6 +24,7 @@ opKindName(OpKind kind)
       case OpKind::CausalMask: return "causal_mask";
       case OpKind::RelPosBias: return "rel_pos_bias";
       case OpKind::Softmax: return "softmax";
+      case OpKind::Attention: return "attention";
       case OpKind::LayerNormOp: return "layer_norm";
       case OpKind::Dropout: return "dropout";
       case OpKind::Matmul: return "matmul";

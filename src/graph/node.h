@@ -49,6 +49,9 @@ enum class OpKind
 
     // reductions / normalization
     Softmax,
+    // inputs: qkv or (q, k, v), then an optional bias table; attrs
+    // "head_dim", "causal", "p", "seed"
+    Attention,
     LayerNormOp, // inputs: x, gamma, beta; attr "eps"
     // regularization
     Dropout, // attrs "p", "seed"

@@ -255,6 +255,49 @@ softmax(const Value& a)
 }
 
 Value
+attention(const std::vector<Value>& inputs, int64_t head_dim, bool causal,
+          double dropout_p, int64_t seed)
+{
+    SLAPO_CHECK(!inputs.empty() && inputs.size() <= 4,
+                "F::attention: expects qkv or (q, k, v), then an optional "
+                "bias table");
+    const bool packed = inputs.size() <= 2;
+    const bool has_table = inputs.size() % 2 == 0;
+    const Shape& sq = inputs[0].shape();
+    const Shape& sk = inputs[packed ? 0 : 1].shape();
+    SLAPO_CHECK(sq.size() == 3 && sk.size() == 3 && head_dim > 0,
+                "F::attention: expects [B, S, H] inputs");
+    const int64_t hidden = packed ? sq[2] / 3 : sq[2];
+    SLAPO_CHECK(hidden % head_dim == 0 && (!packed || sq[2] % 3 == 0),
+                "F::attention: width " << sq[2] << " does not split into "
+                                       << head_dim << "-wide heads");
+    OpCall call;
+    call.kind = OpKind::Attention;
+    call.out_shape = {sq[0], sq[1], hidden};
+    // The decomposed ops' FLOPs: scale q, two GEMMs, then per score the
+    // bias, the mask, softmax and dropout.
+    const double q_elems = static_cast<double>(numelOf(call.out_shape));
+    const double scores = q_elems / static_cast<double>(head_dim) *
+                          static_cast<double>(sk[1]);
+    call.flops = q_elems + 4.0 * q_elems * static_cast<double>(sk[1]) +
+                 (5.0 + 2.0 + (has_table ? 4.0 : 0.0) + (causal ? 1.0 : 0.0)) *
+                     scores;
+    call.attrs.emplace_back("head_dim", head_dim);
+    call.attrs.emplace_back("causal", int64_t{causal});
+    call.attrs.emplace_back("p", dropout_p);
+    call.attrs.emplace_back("seed", seed);
+    const ops::AttentionSpec spec{head_dim, causal,
+                                  static_cast<float>(dropout_p),
+                                  static_cast<uint64_t>(seed)};
+    return dispatch(call, inputs, [spec](const std::vector<const Tensor*>& t) {
+        std::vector<Tensor> tensors;
+        tensors.reserve(t.size());
+        for (const Tensor* p : t) tensors.push_back(*p);
+        return ops::attention(tensors, spec);
+    });
+}
+
+Value
 layerNorm(const Value& x, const Value& gamma, const Value& beta, double eps)
 {
     OpCall call;

@@ -37,6 +37,15 @@ Value causalMask(const Value& scores);
 Value relPosBias(const Value& scores, const Value& table);
 
 Value softmax(const Value& a);
+/**
+ * Fused scaled dot-product attention (ops::attention): `inputs` is the
+ * packed QKV [B, S, 3H] or (q, k, v), then optionally the relative-bias
+ * table. Returns the [B, Sq, H] context; one graph node, whose backward
+ * recomputes the scores and probabilities. Reports the FLOPs of the
+ * decomposed ops it replaces (CoreAttention's).
+ */
+Value attention(const std::vector<Value>& inputs, int64_t head_dim,
+                bool causal, double dropout_p, int64_t seed);
 Value layerNorm(const Value& x, const Value& gamma, const Value& beta,
                 double eps);
 Value dropout(const Value& x, double p, int64_t seed);

@@ -88,6 +88,10 @@ interpretOp(const graph::Node& node, const std::vector<Value>& in)
       case OpKind::CausalMask: return F::causalMask(in[0]);
       case OpKind::RelPosBias: return F::relPosBias(in[0], in[1]);
       case OpKind::Softmax: return F::softmax(in[0]);
+      case OpKind::Attention:
+        return F::attention(in, node.attrInt("head_dim"),
+                            node.attrInt("causal") != 0, node.attrFloat("p"),
+                            node.attrInt("seed"));
       case OpKind::LayerNormOp:
         return F::layerNorm(in[0], in[1], in[2], node.attrFloat("eps"));
       case OpKind::Dropout:
@@ -299,7 +303,10 @@ interpretGraph(const graph::Graph& graph, const std::vector<Value>& inputs,
                     ins.push_back(first(in));
                 }
                 Value out = interpretOp(*node, ins);
-                if (env.stored_bytes != nullptr && !node->checkpointed()) {
+                // Unique storage: a view or alias of a value already held
+                // (a reshape, a p = 0 dropout) shares its buffer.
+                if (env.stored_bytes != nullptr && !node->checkpointed() &&
+                    out.tensor().storageUseCount() == 1) {
                     *env.stored_bytes += out.tensor().bytes();
                 }
                 env.put(node, {std::move(out)});

@@ -74,7 +74,8 @@ struct Frame
     GraphCache* graphs;
     /**
      * Recording only: the retained-activation byte count every CallOp
-     * output adds to. Null inside a checkpointed child, whose values are
+     * output that owns its storage adds to (views and aliases add
+     * nothing). Null inside a checkpointed child, whose values are
      * dropped after its forward and recomputed in backward.
      */
     int64_t* stored_bytes;

@@ -270,12 +270,20 @@ CoreAttention::CoreAttention(std::string type_name, int64_t head_dim,
 std::vector<Value>
 CoreAttention::forward(const std::vector<Value>& inputs)
 {
-    SLAPO_CHECK(inputs.size() == 3,
-                typeName() << ": expects (q, k, v), got " << inputs.size()
-                           << " inputs");
-    const Value& q = inputs[0];
-    const Value& k = inputs[1];
-    const Value& v = inputs[2];
+    SLAPO_CHECK(inputs.size() == 1 || inputs.size() == 3,
+                typeName() << ": expects qkv or (q, k, v), got "
+                           << inputs.size() << " inputs");
+    std::vector<Value> qkv = inputs;
+    if (inputs.size() == 1) {
+        // The packed [B, S, 3 * H_local] QKV of FusedSelfAttention.
+        const int64_t h_local = inputs[0].shape().back() / 3;
+        qkv = {F::narrow(inputs[0], -1, 0, h_local),
+               F::narrow(inputs[0], -1, h_local, h_local),
+               F::narrow(inputs[0], -1, 2 * h_local, h_local)};
+    }
+    const Value& q = qkv[0];
+    const Value& k = qkv[1];
+    const Value& v = qkv[2];
     const Shape& s = q.shape(); // [B, S, H_local]
     SLAPO_CHECK(s.size() == 3, typeName() << ": expects [B, S, H] inputs");
     const int64_t batch = s[0];
@@ -373,6 +381,20 @@ EfficientAttention::fromCore(const CoreAttention& core)
         // launch stays monolithic but recompute is no longer free.
     }
     return m;
+}
+
+std::vector<Value>
+EfficientAttention::forward(const std::vector<Value>& inputs)
+{
+    SLAPO_CHECK(inputs.size() == 1 || inputs.size() == 3,
+                typeName() << ": expects qkv or (q, k, v), got "
+                           << inputs.size() << " inputs");
+    std::vector<Value> operands = inputs;
+    if (hasRelativeBias()) {
+        operands.push_back(param("rel_bias"));
+    }
+    return {F::attention(operands, headDim(), causal(), dropoutP(),
+                         static_cast<int64_t>(dropoutSeed()))};
 }
 
 ModulePtr
@@ -480,12 +502,10 @@ std::vector<Value>
 FusedSelfAttention::forward(const std::vector<Value>& inputs)
 {
     const Value& x = inputs[0];
-    Value qkv = callChildOne("qkv", {x}); // [B, S, 3 * H_local]
-    const int64_t h_local = qkv.shape().back() / 3;
-    Value q = F::narrow(qkv, -1, 0, h_local);
-    Value k = F::narrow(qkv, -1, h_local, h_local);
-    Value v = F::narrow(qkv, -1, 2 * h_local, h_local);
-    return {callChildOne("core", {q, k, v})};
+    // The core takes the [B, S, 3 * H_local] output whole: the efficient
+    // kernel reads q, k and v in place, the decomposed one splits it.
+    Value qkv = callChildOne("qkv", {x});
+    return {callChildOne("core", {qkv})};
 }
 
 ModulePtr

@@ -156,7 +156,8 @@ class Sequential : public Module
  * The paper's Fig. 1 "pink block": scaled dot-product attention over
  * already-projected q, k, v — scale, baddbmm, softmax, dropout, matmul.
  * Materializes the (B, heads, S, S) score tensor, the memory bottleneck
- * flash attention removes.
+ * flash attention removes. Takes (q, k, v), or the packed [B, S, 3H]
+ * output of FusedSelfAttention, which it narrows into its thirds.
  */
 class CoreAttention : public Module
 {
@@ -212,10 +213,12 @@ class CoreAttention : public Module
 };
 
 /**
- * Flash-attention stand-in (xFormers mem_eff_attention in the paper):
- * numerically identical to CoreAttention but executed as a single fused
- * kernel with block-wise intermediates — the profiler sees one launch and
- * no quadratic activation, reproducing the kernel's memory/time effect.
+ * Flash-attention stand-in (xFormers mem_eff_attention in the paper): one
+ * fused attention op (F::attention) in place of CoreAttention's graph,
+ * bit-identical to it. It reads q, k and v in place, from the packed QKV
+ * or three tensors, keeps one head's scores in scratch only, and records
+ * nothing but its output for backward, which recomputes the scores and
+ * probabilities: the kernel's memory and time effect, measured.
  */
 class EfficientAttention : public CoreAttention
 {
@@ -224,6 +227,8 @@ class EfficientAttention : public CoreAttention
 
     /** Build a drop-in replacement for an existing core attention. */
     static ModulePtr fromCore(const CoreAttention& core);
+
+    std::vector<Value> forward(const std::vector<Value>& inputs) override;
 
     bool profileAsKernel() const override { return true; }
     /** With a T5 relative bias the kernel's internal recompute must
@@ -259,7 +264,7 @@ class SelfAttention : public Module
 
 /**
  * Fused-QKV attention — optimization ① of §2.2: one (3H, H) Linear whose
- * output is split into q, k, v, saving two kernel launches.
+ * [B, S, 3H] output goes to the core whole, saving two kernel launches.
  */
 class FusedSelfAttention : public Module
 {

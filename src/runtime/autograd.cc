@@ -85,10 +85,12 @@ inversePerm(const std::vector<int64_t>& perm)
 }
 
 /** Gradient rule for one primitive op. `x` are forward inputs, `y` the
- * forward output, `g` the upstream gradient. */
+ * forward output, `g` the upstream gradient, which the walk hands over:
+ * a rule that passes it through returns it without a copy. (A narrow's
+ * gradient is added into its input's slot by the walk itself.) */
 std::vector<Tensor>
 opBackward(const Node& node, const std::vector<Tensor>& x, const Tensor& y,
-           const Tensor& g)
+           Tensor g)
 {
     switch (node.op()) {
       case OpKind::Add:
@@ -110,7 +112,7 @@ opBackward(const Node& node, const std::vector<Tensor>& x, const Tensor& y,
       case OpKind::Scale:
         return {ops::scale(g, static_cast<float>(node.attrFloat("factor")))};
       case OpKind::AddScalar:
-        return {g.clone()};
+        return {std::move(g)};
       case OpKind::Gelu:
         return {ops::geluBackward(g, x[0])};
       case OpKind::Relu:
@@ -125,12 +127,19 @@ opBackward(const Node& node, const std::vector<Tensor>& x, const Tensor& y,
       case OpKind::RangeMask:
         return {Tensor::zeros(x[0].shape())};
       case OpKind::CausalMask:
-        return {g.clone()};
-      case OpKind::RelPosBias:
-        return {g.clone(),
-                ops::relPosBiasTableBackward(g, x[1].shape())};
+        return {std::move(g)};
+      case OpKind::RelPosBias: {
+        Tensor table_grad = ops::relPosBiasTableBackward(g, x[1].shape());
+        return {std::move(g), std::move(table_grad)};
+      }
       case OpKind::Softmax:
         return {ops::softmaxBackward(g, y)};
+      case OpKind::Attention:
+        return ops::attentionBackward(
+            g, x,
+            {node.attrInt("head_dim"), node.attrInt("causal") != 0,
+             static_cast<float>(node.attrFloat("p")),
+             static_cast<uint64_t>(node.attrInt("seed"))});
       case OpKind::LayerNormOp: {
         ops::LayerNormGrads lg = ops::layerNormBackward(
             g, x[0], x[1], static_cast<float>(node.attrFloat("eps")));
@@ -174,9 +183,6 @@ opBackward(const Node& node, const std::vector<Tensor>& x, const Tensor& y,
         }
         return grads;
       }
-      case OpKind::Narrow:
-        return {ops::narrowBackward(g, x[0].shape(), node.attrInt("axis"),
-                                    node.attrInt("start"))};
       case OpKind::EmbeddingOp:
         return {Tensor::zeros(x[0].shape()),
                 ops::embeddingBackward(g, x[0], x[1].size(0))};
@@ -187,7 +193,7 @@ opBackward(const Node& node, const std::vector<Tensor>& x, const Tensor& y,
         return {ops::scale(ops::mseLossBackward(x[0], x[1]), g.at(0)),
                 Tensor::zeros(x[1].shape())};
       case OpKind::Identity:
-        return {g.clone()};
+        return {std::move(g)};
       case OpKind::AllReduce:
       case OpKind::AllGather:
       case OpKind::ReduceScatter:
@@ -243,24 +249,28 @@ AutogradEngine::backwardGraph(nn::Frame& frame,
     // only the *retained* forward tape (obs/mem_profiler.h).
     obs::MemCategoryScope mem_cat(obs::MemCategory::Gradient);
 
-    // Later gradients are added into a slot in place, so its first one is
-    // adopted only when nothing else holds its storage (a backward rule's
-    // fresh result, moved in); a view of another slot or a caller's
-    // tensor is copied.
-    auto accumulate = [&](const Node* node, size_t index, Tensor grad) {
+    auto slot_of = [&](const Node* node, size_t index) -> Tensor& {
         SLAPO_ASSERT(node->id() >= 0 &&
                          node->id() < static_cast<int64_t>(gslots.size()),
                      "backward: node id out of range for " << node->name());
         auto& slots = gslots[node->id()];
         if (slots.size() <= index) {
-            slots.resize(std::max(slots.size(), index + 1));
+            slots.resize(index + 1);
         }
-        if (slots[index].materialized()) {
-            slots[index].addInPlace(grad);
+        return slots[index];
+    };
+    // Later gradients are added into a slot in place, so its first one is
+    // adopted only when nothing else holds its storage (a backward rule's
+    // fresh result, moved in); a view of another slot or a caller's
+    // tensor is copied.
+    auto accumulate = [&](const Node* node, size_t index, Tensor grad) {
+        Tensor& slot = slot_of(node, index);
+        if (slot.materialized()) {
+            slot.addInPlace(grad);
         } else if (grad.storageUseCount() == 1) {
-            slots[index] = std::move(grad);
+            slot = std::move(grad);
         } else {
-            slots[index] = grad.clone();
+            slot = grad.clone();
         }
     };
 
@@ -330,6 +340,12 @@ AutogradEngine::backwardGraph(nn::Frame& frame,
             release_node(node, observed);
             continue;
         }
+        // Only a CallOp's rule reads its own output, and every user of
+        // the node has run its backward: a module's output (the logits,
+        // a layer's hidden states) is not held through its backward.
+        if (release_tape && node->kind() != NodeKind::CallOp) {
+            frame.evict(node);
+        }
         // Materialize missing output slots as zeros.
         auto& slots = gslots[node->id()];
         slots.resize(node->numOutputs());
@@ -365,8 +381,20 @@ AutogradEngine::backwardGraph(nn::Frame& frame,
             for (const Node* in : node->inputs()) {
                 x.push_back(value(in));
             }
+            if (node->op() == OpKind::Narrow) {
+                // Narrows of one value (the QKV split, the vocab head's
+                // padding) add into slices of one zero-filled gradient.
+                Tensor& in_grad = slot_of(node->inputs()[0], 0);
+                if (!in_grad.materialized()) {
+                    in_grad = Tensor::zeros(x[0].shape());
+                }
+                ops::narrowBackwardInto(slots[0], in_grad,
+                                        node->attrInt("axis"),
+                                        node->attrInt("start"));
+                break;
+            }
             std::vector<Tensor> in_grads =
-                opBackward(*node, x, value(node), slots[0]);
+                opBackward(*node, x, value(node), std::move(slots[0]));
             SLAPO_ASSERT(in_grads.size() == node->inputs().size(),
                          "backward rule arity mismatch for "
                              << opKindName(node->op()));

@@ -44,7 +44,9 @@ struct GradResult
     std::vector<Tensor> input_grads;
     /**
      * Bytes of intermediate activations retained between forward and
-     * backward (the quantity activation checkpointing shrinks).
+     * backward (the quantity activation checkpointing shrinks), counted
+     * once per storage: a reshape view or a p = 0 dropout's alias of an
+     * activation adds nothing, nor does a view of a parameter.
      */
     int64_t stored_activation_bytes = 0;
     /** Extra forward FLOPs-proxy recomputed due to checkpointing: number

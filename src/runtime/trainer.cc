@@ -387,35 +387,6 @@ runWithRecovery(
 
 } // namespace
 
-double
-globalGradNorm(const std::vector<Tensor>& grads)
-{
-    // One running sum would wait on the previous add for every element;
-    // kLanes independent sums, folded in lane order at the end, do not.
-    constexpr int kLanes = 16;
-    double lanes[kLanes] = {};
-    for (const Tensor& g : grads) {
-        const float* data = g.data();
-        const int64_t n = g.numel();
-        int64_t i = 0;
-        for (; i + kLanes <= n; i += kLanes) {
-            // Unrolled, the lanes stay in registers.
-#pragma GCC unroll 16
-            for (int l = 0; l < kLanes; ++l) {
-                const double v = static_cast<double>(data[i + l]);
-                lanes[l] += v * v;
-            }
-        }
-        for (int l = 0; i + l < n; ++l) {
-            const double v = static_cast<double>(data[i + l]);
-            lanes[l] += v * v;
-        }
-    }
-    double sum = 0.0;
-    for (double lane : lanes) sum += lane;
-    return std::sqrt(sum);
-}
-
 Trainer::Trainer(nn::ModulePtr model, AdamWConfig config,
                  RecoveryOptions recovery)
     : model_(std::move(model)), optimizer_(config),
@@ -473,24 +444,22 @@ Trainer::step(const std::vector<std::vector<Tensor>>& micro_batches)
             }
         }
     }
-    {
+    if (micro_batches.size() > 1) {
+        // Averaging one micro-batch would multiply by 1.0f: no bit
+        // changes, so skip the pass over every gradient.
         obs::OpScope reduce("grad.reduce", kBaseline, {.category = "trainer"});
-        if (micro_batches.size() > 1) {
-            // Averaging one micro-batch would multiply by 1.0f: no bit
-            // changes, so skip the pass over every gradient.
-            const float inv = 1.0f / static_cast<float>(micro_batches.size());
-            for (Tensor& g : grads) {
-                g.scaleInPlace(inv);
-            }
+        const float inv = 1.0f / static_cast<float>(micro_batches.size());
+        for (Tensor& g : grads) {
+            g.scaleInPlace(inv);
         }
-        stats.grad_norm = globalGradNorm(grads);
     }
     {
         // Unscheduled step work: attribute explicitly to baseline so the
-        // report's coverage includes the optimizer.
+        // report's coverage includes the optimizer. The update's pass
+        // also sums the gradient norm.
         obs::OpScope optim("optimizer.step", kBaseline,
                            {.span = "trainer.optim", .category = "trainer"});
-        optimizer_.step(grads);
+        stats.grad_norm = optimizer_.step(grads);
     }
     stats.loss /= static_cast<double>(micro_batches.size());
     if (windows.finish(optimizer_.stepCount() - 1, stats, last_report_)) {
@@ -603,14 +572,14 @@ DataParallelTrainer::step(
                                    .category = "trainer"});
             grads = bucketedGradAllReduce(group, rank, local, base_world_);
         }
+        obs::OpScope optim("optimizer.step", kBaseline,
+                           {.span = "trainer.optim", .category = "trainer"});
+        const double norm = optimizers_[rank]->step(grads);
         if (rank == 0) {
             // Post-allreduce grads are identical on every rank; rank 0's
             // norm is the global one.
-            grad_norm = globalGradNorm(grads);
+            grad_norm = norm;
         }
-        obs::OpScope optim("optimizer.step", kBaseline,
-                           {.span = "trainer.optim", .category = "trainer"});
-        optimizers_[rank]->step(grads);
     });
 
     TrainStepStats stats;

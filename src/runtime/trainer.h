@@ -28,23 +28,14 @@ namespace runtime {
 struct TrainStepStats
 {
     double loss = 0;               ///< mean loss over micro-batches/ranks
-    /** Global L2 norm of the averaged gradients (globalGradNorm). */
+    /** Global L2 norm of the averaged gradients, as AdamW::step sums it
+     * (bitwise identical at any kernel thread count). */
     double grad_norm = 0;
     int64_t micro_batches = 0;     ///< gradient-accumulation count
     int64_t tokens = 0;            ///< input elements consumed this step
     int64_t stored_activation_bytes = 0;
     int64_t recomputed_nodes = 0;
 };
-
-/**
- * Global L2 norm of a gradient set: squares summed in double into 16
- * lanes (element i of each tensor into lane i % 16), the lanes then
- * added in order. The order depends on the shapes alone, so over the
- * bit-identical float grads the norm is bitwise identical at any kernel
- * thread count; it stays within 1e-12 relative of a long double sum
- * (tests/test_parallel.cc asserts both).
- */
-double globalGradNorm(const std::vector<Tensor>& grads);
 
 /** Checkpoint/retry policy of the recovering train loops. */
 struct RecoveryOptions

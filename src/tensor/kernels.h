@@ -101,9 +101,11 @@ struct KernelTable
      */
     void (*gemm_panel)(const PanelGemm& g);
 
-    /** AdamW update of n elements: param, grad, first and second moment. */
-    void (*adamw)(const AdamWStep& step, float* param, const float* grad,
-                  float* m, float* v, int64_t n);
+    /** AdamW update of n elements: param, grad, first and second moment.
+     * Returns sum(grad^2) over them, summed in 16 double lanes folded
+     * pairwise. */
+    double (*adamw)(const AdamWStep& step, float* param, const float* grad,
+                    float* m, float* v, int64_t n);
 
     /** y = gelu(x) (tanh approximation) over n elements; y may equal x. */
     void (*gelu)(const float* x, float* y, int64_t n);

@@ -405,38 +405,6 @@ packPanel(const float* src, int64_t ld, bool transposed, int64_t k,
     }
 }
 
-/**
- * Decoupled-weight-decay Adam over n elements. The hyper-parameters are
- * copied into locals first: `step` is a reference, and stores through the
- * float pointers could alias it, which would force a reload per element
- * and block vectorization.
- */
-void
-adamwUpdate(const AdamWStep& step, float* param, const float* grad, float* m,
-            float* v, int64_t n)
-{
-    const float lr = step.lr;
-    const float beta1 = step.beta1;
-    const float beta2 = step.beta2;
-    const float one_minus_beta1 = 1.0f - beta1;
-    const float one_minus_beta2 = 1.0f - beta2;
-    const float eps = step.eps;
-    const float weight_decay = step.weight_decay;
-    const float bc1 = step.bias_correction1;
-    const float bc2 = step.bias_correction2;
-    for (int64_t j = 0; j < n; ++j) {
-        const float g = grad[j];
-        const float mj = beta1 * m[j] + one_minus_beta1 * g;
-        const float vj = beta2 * v[j] + one_minus_beta2 * g * g;
-        m[j] = mj;
-        v[j] = vj;
-        const float m_hat = mj / bc1;
-        const float v_hat = vj / bc2;
-        param[j] -= lr * (m_hat / (__builtin_sqrtf(v_hat) + eps) +
-                          weight_decay * param[j]);
-    }
-}
-
 // --- gelu and tanh ----------------------------------------------------------
 //
 // One float tanh serves tanh, gelu and gelu's backward. It stays within
@@ -878,6 +846,56 @@ layerNormBackwardRows(const float* grad, const float* x, const float* gamma,
                 static_cast<float>(inv_std * ((g - mean_g) - xhat * mean_gx));
         }
     }
+}
+
+// --- AdamW -----------------------------------------------------------------
+
+/**
+ * Decoupled-weight-decay Adam over n elements, returning the sum of
+ * grad^2 over them, in the same pass over memory: each square, exact in
+ * double, goes to lane j mod 16 and the lanes fold pairwise, so the
+ * sum's bits are the same on every path. The hyper-parameters are copied
+ * into locals first: `step` is a reference, and stores through the float
+ * pointers could alias it, which would force a reload per element and
+ * block vectorization.
+ */
+double
+adamwUpdate(const AdamWStep& step, float* param, const float* grad, float* m,
+            float* v, int64_t n)
+{
+    const float lr = step.lr;
+    const float beta1 = step.beta1;
+    const float beta2 = step.beta2;
+    const float one_minus_beta1 = 1.0f - beta1;
+    const float one_minus_beta2 = 1.0f - beta2;
+    const float eps = step.eps;
+    const float weight_decay = step.weight_decay;
+    const float bc1 = step.bias_correction1;
+    const float bc2 = step.bias_correction2;
+    auto update = [&](int64_t j) {
+        const float g = grad[j];
+        const float mj = beta1 * m[j] + one_minus_beta1 * g;
+        const float vj = beta2 * v[j] + one_minus_beta2 * g * g;
+        m[j] = mj;
+        v[j] = vj;
+        const float m_hat = mj / bc1;
+        const float v_hat = vj / bc2;
+        param[j] -= lr * (m_hat / (__builtin_sqrtf(v_hat) + eps) +
+                          weight_decay * param[j]);
+    };
+    DoubleLanes sum = {};
+    int64_t j = 0;
+    for (; j + kLanes <= n; j += kLanes) {
+        const DoubleLanes g = widen(loadLanes(grad + j));
+        sum += g * g;
+        for (int l = 0; l < kLanes; ++l) update(j + l);
+    }
+    if (j < n) {
+        const DoubleLanes g = widen(loadPartial(grad + j, n - j, 0.0f));
+        sum += g * g;
+        for (; j < n; ++j) update(j);
+    }
+    return foldLanes(sum);
 }
 
 } // namespace

@@ -706,11 +706,12 @@ packPanels(const kernels::KernelTable& kt, const float* src, int64_t ld,
     });
 }
 
-/** C = A @ B (+ bias) per batch entry: A [m, k], B [k, n], C [m, n]
- * contiguous. Every C element is written exactly once. */
+/** C = A @ B (+ bias) per batch entry: A [m, k], B [k, n], C [m, n] with
+ * row stride `ldc` (entry e's block starting at e * m * ldc). Every C
+ * element is written exactly once. */
 void
-gemm(Operand a, Operand b, float* c, int64_t m, int64_t k, int64_t n,
-     const float* bias, const GemmBatch& batch = GemmBatch{})
+gemm(Operand a, Operand b, float* c, int64_t ldc, int64_t m, int64_t k,
+     int64_t n, const float* bias, const GemmBatch& batch = GemmBatch{})
 {
     const int64_t entries = static_cast<int64_t>(batch.a_offsets.size());
     if (entries == 0 || m == 0 || n == 0) return;
@@ -738,7 +739,7 @@ gemm(Operand a, Operand b, float* c, int64_t m, int64_t k, int64_t n,
         kernels::PanelGemm g{};
         g.panel = panel.data();
         g.k = k;
-        g.c_row_stride = n;
+        g.c_row_stride = ldc;
         for (int64_t u = lo; u < hi; ++u) {
             const int64_t e = u / panels;
             const int64_t q = u % panels;
@@ -747,7 +748,7 @@ gemm(Operand a, Operand b, float* c, int64_t m, int64_t k, int64_t n,
             kt.pack_panel(b.transposed ? block + q * P * b.ld : block + q * P,
                           b.ld, b.transposed, k, g.cols, panel.data());
             g.bias = bias != nullptr ? bias + q * P : nullptr;
-            float* c_panel = c + e * m * n + q * P;
+            float* c_panel = c + e * m * ldc + q * P;
             if (!a_panels) {
                 g.a = a.data + batch.a_offsets[e];
                 g.a_row_stride = a.ld;
@@ -762,7 +763,7 @@ gemm(Operand a, Operand b, float* c, int64_t m, int64_t k, int64_t n,
                 g.a = a_panels->data() + i0 * k;
                 g.a_row_stride = 1;
                 g.a_col_stride = roundUp(g.rows, V);
-                g.c = c_panel + i0 * n;
+                g.c = c_panel + i0 * ldc;
                 kt.gemm_panel(g);
             }
         }
@@ -830,7 +831,7 @@ matmul(const Tensor& a, const Tensor& b)
         a_offsets[bi] = off_a * m * k;
         b_blocks[bi] = off_b;
     }
-    gemm({a.data(), k}, {b.data(), n}, out.data(), m, k, n, nullptr,
+    gemm({a.data(), k}, {b.data(), n}, out.data(), n, m, k, n, nullptr,
          {a_offsets, b_blocks});
     return out;
 }
@@ -867,7 +868,7 @@ linear(const Tensor& x, const Tensor& weight, const Tensor& bias)
         pb = bias.data();
     }
     gemm({x2.data(), in}, {weight.data(), in, /*transposed=*/true},
-         out.data(), rows, in, out_f, pb);
+         out.data(), out_f, rows, in, out_f, pb);
 
     Shape out_shape = x.shape();
     out_shape.back() = out_f;
@@ -888,14 +889,14 @@ linearBackward(const Tensor& grad_out, const Tensor& x, const Tensor& weight,
     LinearGrads grads;
     // grad_x [rows, in] = g [rows, out] @ W [out, in].
     grads.grad_x = Tensor::empty({rows, in});
-    gemm({pg, out_f}, {weight.data(), in}, grads.grad_x.data(), rows, out_f,
-         in, nullptr);
+    gemm({pg, out_f}, {weight.data(), in}, grads.grad_x.data(), in, rows,
+         out_f, in, nullptr);
     grads.grad_x = grads.grad_x.reshape(x.shape());
 
     // grad_W [out, in] = g^T [out, rows] @ x [rows, in].
     grads.grad_weight = Tensor::empty({out_f, in});
     gemm({pg, out_f, /*transposed=*/true}, {x2.data(), in},
-         grads.grad_weight.data(), out_f, rows, in, nullptr);
+         grads.grad_weight.data(), in, out_f, rows, in, nullptr);
 
     if (has_bias) {
         // Column sums of g: chunks own disjoint output columns and walk
@@ -947,6 +948,28 @@ softmaxInPlace(Tensor& a)
     softmaxInto(a.data(), a.data(), a.numel() / d, d);
 }
 
+namespace {
+
+/** Softmax backward over `rows` rows of width d: out = y * (g - g . y).
+ * `out` may alias `g` (each row's dot is taken before it is written). */
+void
+softmaxBackwardRows(const float* pg, const float* py, float* po, int64_t rows,
+                    int64_t d)
+{
+    for (int64_t r = 0; r < rows; ++r) {
+        const float* gr = pg + r * d;
+        const float* yr = py + r * d;
+        float* orow = po + r * d;
+        double dot = 0.0;
+        for (int64_t i = 0; i < d; ++i) dot += gr[i] * yr[i];
+        for (int64_t i = 0; i < d; ++i) {
+            orow[i] = yr[i] * (gr[i] - static_cast<float>(dot));
+        }
+    }
+}
+
+} // namespace
+
 Tensor
 softmaxBackward(const Tensor& grad, const Tensor& y)
 {
@@ -957,16 +980,7 @@ softmaxBackward(const Tensor& grad, const Tensor& y)
     const float* py = y.data();
     float* po = out.data();
     support::parallelFor(0, rows, rowGrain(d), [&](int64_t lo, int64_t hi) {
-        for (int64_t r = lo; r < hi; ++r) {
-            const float* gr = pg + r * d;
-            const float* yr = py + r * d;
-            float* orow = po + r * d;
-            double dot = 0.0;
-            for (int64_t i = 0; i < d; ++i) dot += gr[i] * yr[i];
-            for (int64_t i = 0; i < d; ++i) {
-                orow[i] = yr[i] * (gr[i] - static_cast<float>(dot));
-            }
-        }
+        softmaxBackwardRows(pg + lo * d, py + lo * d, po + lo * d, hi - lo, d);
     });
     return out;
 }
@@ -1035,21 +1049,31 @@ layerNormBackward(const Tensor& grad_out, const Tensor& x, const Tensor& gamma,
     return grads;
 }
 
+namespace {
+
+/** po[i] = 0 or pa[i] / (1 - p) for n elements, one draw of `rng` each;
+ * `po` may alias `pa`. */
+void
+dropoutInto(const float* pa, float* po, int64_t n, float p, Rng& rng)
+{
+    const float inv_keep = 1.0f / (1.0f - p);
+    for (int64_t i = 0; i < n; ++i) {
+        po[i] = rng.uniform() < p ? 0.0f : pa[i] * inv_keep;
+    }
+}
+
+} // namespace
+
 Tensor
 dropout(const Tensor& a, float p, uint64_t seed)
 {
     if (p <= 0.0f) {
-        return a.clone();
+        return a;
     }
     SLAPO_CHECK(p < 1.0f, "dropout: p must be in [0, 1), got " << p);
     Tensor out = Tensor::empty(a.shape());
     Rng rng(seed);
-    const float inv_keep = 1.0f / (1.0f - p);
-    const float* pa = a.data();
-    float* po = out.data();
-    for (int64_t i = 0; i < a.numel(); ++i) {
-        po[i] = rng.uniform() < p ? 0.0f : pa[i] * inv_keep;
-    }
+    dropoutInto(a.data(), out.data(), a.numel(), p, rng);
     return out;
 }
 
@@ -1059,6 +1083,274 @@ dropoutBackward(const Tensor& grad, float p, uint64_t seed)
     // The mask is a deterministic function of the seed, so backward simply
     // reapplies the forward transformation to the upstream gradient.
     return dropout(grad, p, seed);
+}
+
+// --- fused attention ----------------------------------------------------
+//
+// One (batch, head) block at a time, through the same `gemm` as
+// matmul: q, k and v are operands read in place at their offsets and row
+// strides, k as a transposed B (pack_panel builds the panel the permuted
+// copy used to give), and the context and the q, k and v gradients are C
+// blocks written at theirs. A block's scaled q and its [Sq, Sk] scores,
+// probabilities and their gradient sit in a chunk-private scratch; the
+// backward recomputes them rather than keeping them.
+
+namespace {
+
+/** Where attention's q, k and v live, and its extents. */
+struct AttentionOperands
+{
+    const float* q;
+    const float* k;
+    const float* v;
+    int64_t ld; ///< row stride of q, k and v: 3H when packed, else H
+    int64_t batch, sq, sk, hidden, heads, d;
+    float scale; ///< 1 / sqrt(d), as CoreAttention's scale op rounds it
+    const float* table;   ///< relative-bias table, or null
+    int64_t table_width;  ///< 2 * buckets - 1
+};
+
+AttentionOperands
+attentionOperands(const std::vector<Tensor>& in, int64_t head_dim)
+{
+    SLAPO_CHECK(!in.empty() && in.size() <= 4,
+                "attention: expects qkv or (q, k, v), then an optional bias "
+                "table; got " << in.size() << " inputs");
+    const bool packed = in.size() <= 2;
+    const Tensor& q = in[0];
+    SLAPO_CHECK(q.dim() == 3, "attention: expects [B, S, H] inputs, got "
+                                  << shapeToString(q.shape()));
+    AttentionOperands o{};
+    o.batch = q.size(0);
+    o.sq = q.size(1);
+    if (packed) {
+        SLAPO_CHECK(q.size(2) % 3 == 0,
+                    "attention: packed qkv width " << q.size(2)
+                                                   << " is not 3 * H");
+        o.hidden = q.size(2) / 3;
+        o.sk = o.sq;
+        o.ld = 3 * o.hidden;
+        o.q = q.data();
+        o.k = o.q + o.hidden;
+        o.v = o.k + o.hidden;
+    } else {
+        const Tensor& k = in[1];
+        const Tensor& v = in[2];
+        o.hidden = q.size(2);
+        SLAPO_CHECK(k.dim() == 3 && k.shape() == v.shape() &&
+                        k.size(0) == o.batch && k.size(2) == o.hidden,
+                    "attention: k " << shapeToString(k.shape()) << " and v "
+                                    << shapeToString(v.shape())
+                                    << " do not match q "
+                                    << shapeToString(q.shape()));
+        o.sk = k.size(1);
+        o.ld = o.hidden;
+        o.q = q.data();
+        o.k = k.data();
+        o.v = v.data();
+    }
+    SLAPO_CHECK(head_dim > 0 && o.hidden % head_dim == 0,
+                "attention: hidden " << o.hidden
+                                     << " not divisible by head dim "
+                                     << head_dim);
+    o.d = head_dim;
+    o.heads = o.hidden / head_dim;
+    o.scale = static_cast<float>(1.0 / std::sqrt(static_cast<double>(o.d)));
+    if (in.size() % 2 == 0) {
+        const Tensor& table = in.back();
+        SLAPO_CHECK(table.dim() == 2 && table.size(0) == o.heads &&
+                        table.size(1) % 2 == 1,
+                    "attention: bias table " << shapeToString(table.shape())
+                                             << " is not [" << o.heads
+                                             << ", 2 * buckets - 1]");
+        o.table = table.data();
+        o.table_width = table.size(1);
+    }
+    return o;
+}
+
+/** The Rng at the start of each (b, h) block of the [B, h, Sq, Sk]
+ * probabilities, which ops::dropout draws for in flat order. */
+std::vector<Rng>
+dropoutStreams(uint64_t seed, int64_t blocks, int64_t block_size)
+{
+    std::vector<Rng> starts;
+    starts.reserve(static_cast<size_t>(blocks));
+    Rng rng(seed);
+    for (int64_t e = 0; e < blocks; ++e) {
+        starts.push_back(rng);
+        for (int64_t i = 0; i < block_size; ++i) rng.next();
+    }
+    return starts;
+}
+
+/**
+ * Run fn(b, h, scratch) over every (batch, head) block. Blocks are
+ * independent, so any split gives the same bits, except that a bias
+ * table's gradient sums over the batch: then a chunk holds one head's
+ * blocks, b ascending, as relPosBiasTableBackward sums them.
+ */
+template <typename F>
+void
+forEachHeadBlock(const AttentionOperands& o, int64_t scratch_floats, F&& fn)
+{
+    const int64_t grain = o.table != nullptr ? o.batch : 1;
+    support::parallelFor(0, o.heads * o.batch, grain,
+                         [&](int64_t lo, int64_t hi) {
+        alloc::Scratch scratch(scratch_floats);
+        for (int64_t u = lo; u < hi; ++u) {
+            fn(u % o.batch, u / o.batch, scratch.data());
+        }
+    });
+}
+
+/**
+ * Block (b, h)'s probabilities into p [Sq, Sk]: qs = q * scale (kept in
+ * qs [Sq, d]), p = qs @ k^T, plus the bias, plus the causal mask, then
+ * the row softmax; each step as its decomposed op computes it.
+ */
+void
+attentionProbs(const AttentionOperands& o, const AttentionSpec& spec,
+               int64_t b, int64_t h, float* qs, float* p)
+{
+    const float* qb = o.q + b * o.sq * o.ld + h * o.d;
+    for (int64_t i = 0; i < o.sq; ++i) {
+        for (int64_t kk = 0; kk < o.d; ++kk) {
+            qs[i * o.d + kk] = qb[i * o.ld + kk] * o.scale;
+        }
+    }
+    gemm({qs, o.d}, {o.k + b * o.sk * o.ld + h * o.d, o.ld, true}, p, o.sk,
+         o.sq, o.d, o.sk, nullptr);
+    if (o.table != nullptr) {
+        const float* row = o.table + h * o.table_width;
+        const int64_t buckets = (o.table_width + 1) / 2;
+        for (int64_t i = 0; i < o.sq; ++i) {
+            for (int64_t j = 0; j < o.sk; ++j) {
+                p[i * o.sk + j] += row[relBucket(i, j, buckets)];
+            }
+        }
+    }
+    if (spec.causal) {
+        causalMaskApply(p, 1, o.sq, o.sk);
+    }
+    kernels::kernels().softmax(p, p, o.sq, o.sk);
+}
+
+} // namespace
+
+Tensor
+attention(const std::vector<Tensor>& inputs, const AttentionSpec& spec)
+{
+    const AttentionOperands o = attentionOperands(inputs, spec.head_dim);
+    Tensor out = Tensor::empty({o.batch, o.sq, o.hidden});
+    float* po = out.data();
+    const int64_t block = o.sq * o.sk;
+    const bool drop = spec.dropout_p > 0.0f;
+    SLAPO_CHECK(spec.dropout_p < 1.0f,
+                "attention: dropout p must be in [0, 1), got "
+                    << spec.dropout_p);
+    const std::vector<Rng> streams =
+        drop ? dropoutStreams(spec.seed, o.batch * o.heads, block)
+             : std::vector<Rng>{};
+    forEachHeadBlock(o, o.sq * o.d + block,
+                     [&](int64_t b, int64_t h, float* scratch) {
+        float* qs = scratch;
+        float* p = scratch + o.sq * o.d;
+        attentionProbs(o, spec, b, h, qs, p);
+        if (drop) {
+            Rng rng = streams[b * o.heads + h];
+            dropoutInto(p, p, block, spec.dropout_p, rng);
+        }
+        gemm({p, o.sk}, {o.v + b * o.sk * o.ld + h * o.d, o.ld},
+             po + b * o.sq * o.hidden + h * o.d, o.hidden, o.sq, o.sk, o.d,
+             nullptr);
+    });
+    return out;
+}
+
+std::vector<Tensor>
+attentionBackward(const Tensor& grad, const std::vector<Tensor>& inputs,
+                  const AttentionSpec& spec)
+{
+    const AttentionOperands o = attentionOperands(inputs, spec.head_dim);
+    SLAPO_CHECK(grad.shape() == (Shape{o.batch, o.sq, o.hidden}),
+                "attentionBackward: gradient " << shapeToString(grad.shape())
+                                               << " does not match the "
+                                                  "context");
+    // Every element of dq, dk and dv is one C element of a block's GEMM.
+    std::vector<Tensor> grads;
+    float* dq = nullptr;
+    float* dk = nullptr;
+    float* dv = nullptr;
+    if (inputs.size() <= 2) {
+        grads.push_back(Tensor::empty(inputs[0].shape()));
+        dq = grads[0].data();
+        dk = dq + o.hidden;
+        dv = dk + o.hidden;
+    } else {
+        for (int i = 0; i < 3; ++i) {
+            grads.push_back(Tensor::empty(inputs[i].shape()));
+        }
+        dq = grads[0].data();
+        dk = grads[1].data();
+        dv = grads[2].data();
+    }
+    float* dtable = nullptr;
+    if (o.table != nullptr) {
+        grads.push_back(Tensor::zeros(inputs.back().shape()));
+        dtable = grads.back().data();
+    }
+
+    const int64_t block = o.sq * o.sk;
+    const bool drop = spec.dropout_p > 0.0f;
+    const std::vector<Rng> streams =
+        drop ? dropoutStreams(spec.seed, o.batch * o.heads, block)
+             : std::vector<Rng>{};
+    const float* pg = grad.data();
+    forEachHeadBlock(o, o.sq * o.d + (drop ? 3 : 2) * block,
+                     [&](int64_t b, int64_t h, float* scratch) {
+        float* qs = scratch;
+        float* p = qs + o.sq * o.d;      // softmax output
+        float* ds = p + block;           // dP, then dS in place
+        float* pd = drop ? ds + block : p; // the dropped probabilities
+        attentionProbs(o, spec, b, h, qs, p);
+        const float* go = pg + b * o.sq * o.hidden + h * o.d;
+        const float* kb = o.k + b * o.sk * o.ld + h * o.d;
+        const float* vb = o.v + b * o.sk * o.ld + h * o.d;
+        // dPd = dO @ v^T, then back through dropout and softmax.
+        gemm({go, o.hidden}, {vb, o.ld, true}, ds, o.sk, o.sq, o.d, o.sk,
+             nullptr);
+        if (drop) {
+            Rng rng = streams[b * o.heads + h];
+            dropoutInto(p, pd, block, spec.dropout_p, rng);
+            rng = streams[b * o.heads + h];
+            dropoutInto(ds, ds, block, spec.dropout_p, rng);
+        }
+        softmaxBackwardRows(ds, p, ds, o.sq, o.sk);
+        if (dtable != nullptr) {
+            float* row = dtable + h * o.table_width;
+            const int64_t buckets = (o.table_width + 1) / 2;
+            for (int64_t i = 0; i < o.sq; ++i) {
+                for (int64_t j = 0; j < o.sk; ++j) {
+                    row[relBucket(i, j, buckets)] += ds[i * o.sk + j];
+                }
+            }
+        }
+        const int64_t row_offset = b * o.sk * o.ld + h * o.d;
+        // dV = Pd^T @ dO; dK = dS^T @ qs; dq = (dS @ k) * scale.
+        gemm({pd, o.sk, true}, {go, o.hidden}, dv + row_offset, o.ld, o.sk,
+             o.sq, o.d, nullptr);
+        gemm({ds, o.sk, true}, {qs, o.d}, dk + row_offset, o.ld, o.sk, o.sq,
+             o.d, nullptr);
+        float* dqb = dq + b * o.sq * o.ld + h * o.d;
+        gemm({ds, o.sk}, {kb, o.ld}, dqb, o.ld, o.sq, o.sk, o.d, nullptr);
+        for (int64_t i = 0; i < o.sq; ++i) {
+            for (int64_t kk = 0; kk < o.d; ++kk) {
+                dqb[i * o.ld + kk] *= o.scale;
+            }
+        }
+    });
+    return grads;
 }
 
 Tensor
@@ -1149,27 +1441,30 @@ narrow(const Tensor& a, int64_t axis, int64_t start, int64_t length)
     return out;
 }
 
-Tensor
-narrowBackward(const Tensor& grad, const Shape& in_shape, int64_t axis,
-               int64_t start)
+void
+narrowBackwardInto(const Tensor& grad, Tensor& grad_in, int64_t axis,
+                   int64_t start)
 {
-    int64_t ax = axis < 0 ? axis + static_cast<int64_t>(in_shape.size()) : axis;
-    Tensor out = Tensor::zeros(in_shape);
+    const int64_t ax = axis < 0 ? axis + grad_in.dim() : axis;
+    SLAPO_CHECK(ax >= 0 && ax < grad_in.dim() && grad.dim() == grad_in.dim(),
+                "narrowBackwardInto: bad axis " << axis);
     const int64_t length = grad.size(ax);
-
+    SLAPO_CHECK(start >= 0 && start + length <= grad_in.size(ax),
+                "narrowBackwardInto: slice out of range");
     int64_t outer = 1;
-    for (int64_t d = 0; d < ax; ++d) outer *= in_shape[d];
+    for (int64_t d = 0; d < ax; ++d) outer *= grad_in.size(d);
     int64_t inner = 1;
-    for (size_t d = ax + 1; d < in_shape.size(); ++d) inner *= in_shape[d];
+    for (int64_t d = ax + 1; d < grad_in.dim(); ++d) inner *= grad_in.size(d);
 
     const float* pg = grad.data();
-    float* po = out.data();
-    const int64_t full = in_shape[ax];
+    float* po = grad_in.data();
+    const int64_t full = grad_in.size(ax);
+    const int64_t run = length * inner;
     for (int64_t o = 0; o < outer; ++o) {
-        std::copy(pg + o * length * inner, pg + (o + 1) * length * inner,
-                  po + (o * full + start) * inner);
+        const float* src = pg + o * run;
+        float* dst = po + (o * full + start) * inner;
+        for (int64_t i = 0; i < run; ++i) dst[i] += src[i];
     }
-    return out;
 }
 
 Tensor

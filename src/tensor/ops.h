@@ -153,13 +153,53 @@ LayerNormGrads layerNormBackward(const Tensor& grad_out, const Tensor& x,
 // --- regularization -------------------------------------------------------
 
 /**
- * Inverted dropout with a deterministic mask derived from `seed`. With
- * p == 0 this is the identity, which the verifier relies on for exact
- * equivalence checks.
+ * Inverted dropout with a deterministic mask derived from `seed`: one
+ * Rng draw per element, in flat order. With p == 0 this is the identity
+ * and returns `a` itself, sharing its storage (no copy), which the
+ * verifier relies on for exact equivalence checks.
  */
 Tensor dropout(const Tensor& a, float p, uint64_t seed);
-/** Backward replays the identical mask from `seed`. */
+/** Backward replays the identical mask from `seed` (at p == 0 it returns
+ * `grad` itself). */
 Tensor dropoutBackward(const Tensor& grad, float p, uint64_t seed);
+
+// --- attention ----------------------------------------------------------
+
+/** The attributes of one fused attention call. */
+struct AttentionSpec
+{
+    int64_t head_dim = 0;
+    bool causal = false;
+    float dropout_p = 0.0f;
+    uint64_t seed = 0;
+};
+
+/**
+ * Fused scaled dot-product attention: per head, softmax(q * scale @ k^T
+ * + bias + causal mask), dropout, @ v, with scale = 1 / sqrt(head_dim).
+ *
+ * `inputs` is either the packed QKV output [B, S, 3H] (q, k and v its
+ * thirds, each H = heads * head_dim wide) or q [B, Sq, H] with k and v
+ * [B, Sk, H]; a T5 relative-bias table [heads, 2 * buckets - 1] may follow
+ * (relPosBias). q, k and v are read in place, head by head, and the
+ * context is written straight into its [B, Sq, H] output: no split,
+ * head permute or transpose copies. One head's [Sq, Sk] scores live only
+ * in a chunk's scratch.
+ *
+ * The bits equal the decomposed graph's (nn::CoreAttention): the same
+ * per-element q * scale, the same fused multiply-add chains in every
+ * GEMM, and the same bias, mask, softmax and dropout kernels.
+ */
+Tensor attention(const std::vector<Tensor>& inputs, const AttentionSpec& spec);
+
+/**
+ * Gradients of `attention` for each of `inputs`, recomputing the scores
+ * and probabilities from q and k as flash attention does. A packed QKV
+ * gets one [B, S, 3H] gradient that dq, dk and dv are written into.
+ */
+std::vector<Tensor> attentionBackward(const Tensor& grad,
+                                      const std::vector<Tensor>& inputs,
+                                      const AttentionSpec& spec);
 
 // --- shape manipulation ----------------------------------------------------
 
@@ -169,9 +209,14 @@ Tensor concat(const std::vector<Tensor>& parts, int64_t axis);
 std::vector<Tensor> chunk(const Tensor& a, int64_t n, int64_t axis);
 /** Narrow: slice [start, start+length) along `axis` (copying). */
 Tensor narrow(const Tensor& a, int64_t axis, int64_t start, int64_t length);
-/** Scatter `grad` back into a zeros(in_shape) at the narrowed region. */
-Tensor narrowBackward(const Tensor& grad, const Shape& in_shape, int64_t axis,
-                      int64_t start);
+/**
+ * Add `grad` into the narrowed region of `grad_in`, the gradient of the
+ * narrow's input: grad_in[..., start + i, ...] += grad[..., i, ...]
+ * along `axis`. The backward walk zero-fills the input's gradient once and
+ * adds every narrow of it into its slice.
+ */
+void narrowBackwardInto(const Tensor& grad, Tensor& grad_in, int64_t axis,
+                        int64_t start);
 /**
  * Permute axes by `perm` (a permutation of 0..rank-1), copying. Used for
  * the attention head reshuffles [B,S,H] <-> [B,heads,S,dh].

@@ -21,13 +21,16 @@ AdamW::addParam(Tensor param)
 {
     SLAPO_CHECK(param.materialized(), "AdamW: cannot optimize meta tensors");
     params_.push_back(param);
+    chunk_squares_.resize(chunk_squares_.size() +
+                          static_cast<size_t>(support::chunkCountFor(
+                              0, param.numel(), kAdamWGrain)));
     obs::MemCategoryScope mem_cat(obs::MemCategory::OptimizerState);
     m_.push_back(Tensor::zeros(param.shape()));
     v_.push_back(Tensor::zeros(param.shape()));
     return params_.size() - 1;
 }
 
-void
+double
 AdamW::step(const std::vector<Tensor>& grads)
 {
     SLAPO_CHECK(grads.size() == params_.size(),
@@ -45,6 +48,7 @@ AdamW::step(const std::vector<Tensor>& grads)
     };
     const auto update = kernels::kernels().adamw;
 
+    double* sums = chunk_squares_.data();
     for (size_t i = 0; i < params_.size(); ++i) {
         Tensor& p = params_[i];
         const Tensor& g = grads[i];
@@ -55,12 +59,17 @@ AdamW::step(const std::vector<Tensor>& grads)
         float* pm = m_[i].data();
         float* pv = v_[i].data();
         // Elementwise, so fixed-size chunks give the same bits at any
-        // thread count.
+        // thread count; each chunk writes its own sum of g^2.
         support::parallelFor(0, p.numel(), kAdamWGrain,
                              [&](int64_t lo, int64_t hi) {
-            update(hp, pp + lo, pg + lo, pm + lo, pv + lo, hi - lo);
+            sums[lo / kAdamWGrain] =
+                update(hp, pp + lo, pg + lo, pm + lo, pv + lo, hi - lo);
         });
+        sums += support::chunkCountFor(0, p.numel(), kAdamWGrain);
     }
+    double sum = 0.0;
+    for (double s : chunk_squares_) sum += s;
+    return std::sqrt(sum);
 }
 
 } // namespace slapo

@@ -44,8 +44,15 @@ class AdamW
     /** Access a registered parameter tensor (shared storage). */
     Tensor& param(size_t i) { return params_[i]; }
 
-    /** Apply one AdamW step given per-parameter gradients. */
-    void step(const std::vector<Tensor>& grads);
+    /**
+     * Apply one AdamW step given per-parameter gradients, and return their
+     * global L2 norm, summed in the same pass: g^2 in 16 double lanes per
+     * fixed chunk, chunks folded in order, so the bits are the same at any
+     * thread count and on every ISA path. Relative to the exact norm it
+     * is within (1027 + C) * 2^-53, C being the number of chunks
+     * (docs/PERFORMANCE.md, "Fused attention").
+     */
+    double step(const std::vector<Tensor>& grads);
 
     /** Steps taken so far (bias-correction counter). */
     int64_t stepCount() const { return step_count_; }
@@ -67,6 +74,9 @@ class AdamW
     std::vector<Tensor> params_;
     std::vector<Tensor> m_;
     std::vector<Tensor> v_;
+    /** One sum of g^2 per update chunk, every parameter's in order:
+     * sized by addParam, so a step allocates nothing. */
+    std::vector<double> chunk_squares_;
     int64_t step_count_ = 0;
 };
 

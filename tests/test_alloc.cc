@@ -218,6 +218,40 @@ TEST_F(AllocTest, InterpreterPlannerOnOffBitIdentical)
     EXPECT_TRUE(bitwiseEqual(on[0].tensor(), off[0].tensor()));
 }
 
+TEST_F(AllocTest, ZeroDropoutAliasIsNeverOverwrittenInPlace)
+{
+    // x -> dropout(p = 0) -> gelu -> out. The dropout returns x's own
+    // storage and dies at gelu, which the planner marks in place; the
+    // storage-unique guard must see the caller's handle on x and run gelu
+    // out of place.
+    using graph::NodeKind;
+    graph::Graph g;
+    graph::Node* x = g.createNode(NodeKind::Placeholder, "x");
+    x->setShapes({{2, 4}});
+    graph::Node* drop = g.createNode(NodeKind::CallOp, "dropout");
+    drop->setOp(graph::OpKind::Dropout);
+    drop->setAttr("p", 0.0);
+    drop->setAttr("seed", int64_t{5});
+    drop->addInput(x);
+    drop->setShapes({{2, 4}});
+    graph::Node* gelu = g.createNode(NodeKind::CallOp, "gelu");
+    gelu->setOp(graph::OpKind::Gelu);
+    gelu->addInput(drop);
+    gelu->setShapes({{2, 4}});
+    graph::Node* out = g.createNode(NodeKind::Output, "out");
+    out->addInput(gelu);
+    out->setShapes({{2, 4}});
+    g.setOutputNode(out);
+    ASSERT_TRUE(graph::memPlanFor(g, {{2, 4}})->at(gelu->id())->inplace);
+
+    Tensor input = Tensor::uniform({2, 4}, 2.0f, 11);
+    const Tensor before = input.clone();
+    auto result = nn::interpretGraph(g, {nn::Value(input)});
+    EXPECT_TRUE(bitwiseEqual(input, before));
+    EXPECT_TRUE(bitwiseEqual(result[0].tensor(), ops::gelu(before)));
+    EXPECT_EQ(ops::dropout(input, 0.0f, 5).storageKey(), input.storageKey());
+}
+
 TEST_F(AllocTest, TrainingStepHasZeroSteadyStateHeapAllocs)
 {
     // The acceptance bar of the allocator: a steady-state training step

@@ -683,6 +683,88 @@ TEST(ParallelDeterminism, AdamWSteps)
     EXPECT_TRUE(sameBits(got[3], v));
 }
 
+// --- fused attention against the decomposed graph ------------------------
+
+struct AttentionCase
+{
+    const char* name;
+    bool packed;
+    bool causal;
+    double dropout_p;
+    int64_t buckets; ///< relative-bias buckets (0: no bias)
+    int64_t batch, sq, sk, heads, head_dim;
+};
+
+/**
+ * One training step of `core` under an MSE loss through the autograd
+ * engine: the eager forward context, the loss, then the gradient of every
+ * input (the packed QKV, or q, k and v) and of the bias table.
+ */
+std::vector<Tensor>
+attentionStep(const nn::ModulePtr& core, const AttentionCase& c)
+{
+    const int64_t hidden = c.heads * c.head_dim;
+    std::vector<Tensor> inputs;
+    if (c.packed) {
+        inputs.push_back(
+            Tensor::uniform({c.batch, c.sq, 3 * hidden}, 1.0f, 61));
+    } else {
+        inputs.push_back(Tensor::uniform({c.batch, c.sq, hidden}, 1.0f, 61));
+        inputs.push_back(Tensor::uniform({c.batch, c.sk, hidden}, 1.0f, 62));
+        inputs.push_back(Tensor::uniform({c.batch, c.sk, hidden}, 1.0f, 63));
+    }
+    std::vector<nn::Value> values(inputs.begin(), inputs.end());
+    std::vector<Tensor> out = {core->callOne(values).tensor()};
+
+    inputs.push_back(Tensor::uniform({c.batch, c.sq, hidden}, 1.0f, 64));
+    auto model = runtime::withMseLoss(core);
+    runtime::AutogradEngine engine;
+    runtime::GradResult result = engine.run(*model, inputs);
+    out.push_back(result.outputs[0]);
+    out.insert(out.end(), result.input_grads.begin(),
+               result.input_grads.end() - 1); // not the target's
+    if (c.buckets > 0) {
+        out.push_back(runtime::AutogradEngine::gradFor(
+            result, core->paramTensor("rel_bias")));
+    }
+    return out;
+}
+
+TEST(ParallelDeterminism, EfficientAttentionMatchesCoreAttentionBitForBit)
+{
+    // Head dims 5 and 12 are not whole vectors on any path; 40 keys span
+    // two AVX-512 panels. Sq != Sk needs separate q and k (cross-attention).
+    const std::vector<AttentionCase> cases = {
+        {"packed", true, false, 0.0, 0, 2, 9, 9, 3, 8},
+        {"packed causal", true, true, 0.0, 0, 2, 9, 9, 3, 8},
+        {"packed dropout", true, false, 0.1, 0, 2, 9, 9, 3, 8},
+        {"packed causal bias dropout", true, true, 0.1, 4, 3, 10, 10, 2, 5},
+        {"three tensors", false, false, 0.0, 0, 2, 40, 40, 2, 12},
+        {"cross Sq != Sk", false, false, 0.0, 0, 2, 7, 11, 3, 5},
+        {"cross causal bias dropout", false, true, 0.1, 3, 2, 7, 11, 3, 5},
+    };
+    for (const AttentionCase& c : cases) {
+        SCOPED_TRACE(c.name);
+        auto core = std::make_shared<nn::CoreAttention>(c.head_dim,
+                                                        c.dropout_p, c.causal);
+        if (c.buckets > 0) {
+            core->enableRelativeBias(c.heads, c.buckets);
+            core->initializeParams(65);
+        }
+        nn::ModulePtr efficient = nn::EfficientAttention::fromCore(*core);
+        const std::vector<Tensor> reference = attentionStep(core, c);
+        const std::vector<Tensor> fused = attentionStep(efficient, c);
+        ASSERT_EQ(fused.size(), reference.size());
+        for (size_t i = 0; i < fused.size(); ++i) {
+            EXPECT_TRUE(sameBits(reference[i], fused[i]))
+                << "output " << i << " differs by up to "
+                << maxAbsDiff(reference[i], fused[i]);
+        }
+        // ...on every ISA path at 1, 2 and 7 threads.
+        expectBitIdentical([&] { return attentionStep(efficient, c); });
+    }
+}
+
 TEST(ParallelDeterminism, Permute4DMatchesNaiveIndexLoop)
 {
     const Tensor a = Tensor::uniform({3, 5, 4, 7}, 1.0f, 29);
@@ -834,8 +916,9 @@ TEST(ParallelDeterminism, GlobalGradNormBitwiseStableAcrossThreadCounts)
 
 TEST(ParallelDeterminism, GlobalGradNormWithinLongDoubleReference)
 {
-    // Magnitudes six decades apart, and lengths that leave every lane
-    // count as a tail.
+    // AdamW::step sums the norm in its update pass. Magnitudes six decades
+    // apart, lengths that leave every lane count as a tail, and one
+    // gradient over many 2^14-element chunks.
     const std::vector<Tensor> grads = {
         Tensor::uniform({1000, 257}, 1e-3f, 31),
         Tensor::uniform({7}, 2.0f, 32),
@@ -843,7 +926,9 @@ TEST(ParallelDeterminism, GlobalGradNormWithinLongDoubleReference)
         Tensor::uniform({15}, 0.5f, 34),
     };
     long double sum = 0.0L;
+    int64_t chunks = 0;
     for (const Tensor& g : grads) {
+        chunks += support::chunkCountFor(0, g.numel(), 1 << 14);
         const float* data = g.data();
         for (int64_t i = 0; i < g.numel(); ++i) {
             const long double v = data[i];
@@ -851,10 +936,29 @@ TEST(ParallelDeterminism, GlobalGradNormWithinLongDoubleReference)
         }
     }
     const long double reference = std::sqrt(sum);
-    const double got = runtime::globalGradNorm(grads);
-    EXPECT_LE(std::abs(static_cast<long double>(got) - reference) / reference,
-              1e-12L)
-        << got << " vs " << static_cast<double>(reference);
+    // Lanes of at most 2^10 squares, a 4-level fold, then the chunks in
+    // order: (1027 + chunks) * 2^-53 relative (AdamW::step).
+    const long double bound =
+        static_cast<long double>(1027 + chunks) * 0x1p-53L;
+    ThreadGuard guard;
+    IsaGuard isa_guard;
+    for (kernels::Isa isa : availableIsas()) {
+        kernels::setIsaForTesting(isa);
+        for (int threads : {1, 7}) {
+            setNumThreads(threads);
+            AdamW fresh;
+            for (const Tensor& g : grads) {
+                fresh.addParam(Tensor::zeros(g.shape()));
+            }
+            const double got = fresh.step(grads);
+            EXPECT_LE(std::abs(static_cast<long double>(got) - reference) /
+                          reference,
+                      bound)
+                << kernels::isaName(isa) << " at " << threads
+                << " threads: " << got << " vs "
+                << static_cast<double>(reference);
+        }
+    }
 }
 
 // --- row kernels against a long double reference -----------------------------

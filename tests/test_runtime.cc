@@ -2,6 +2,7 @@
  * autograd (incl. checkpointing), and tensor-parallel training. */
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <thread>
 
 #include "analysis/lint.h"
@@ -11,6 +12,8 @@
 #include "models/dataset.h"
 #include "models/registry.h"
 #include "nn/functional.h"
+#include "obs/metrics.h"
+#include "tensor/alloc.h"
 #include "runtime/autograd.h"
 #include "runtime/dist_executor.h"
 #include "runtime/trainer.h"
@@ -377,15 +380,13 @@ struct TensorParallelStep
 };
 
 TensorParallelStep
-runTensorParallelStep(ModulePtr model, bool shard_embedding, int64_t seq,
+runTensorParallelStep(ModulePtr model,
+                      const baselines::ScheduleRecipe& recipe, int64_t seq,
                       int64_t vocab)
 {
     TensorParallelStep step;
     step.reference = withCrossEntropyLoss(model->clone());
-    auto sch = baselines::applyRecipe(
-        model,
-        baselines::ScheduleRecipe::tensorParallel(2, 0.0, shard_embedding),
-        seq);
+    auto sch = baselines::applyRecipe(model, recipe, seq);
     auto scheduled = runtime::withCrossEntropyLoss(sch->module());
 
     Tensor ids = Tensor::randint({2, seq}, vocab, 53);
@@ -430,8 +431,10 @@ TEST(Autograd, TensorParallelTrainingMatchesSingleDevice)
         SCOPED_TRACE(shard_embedding ? "shard_embedding" : "dense embedding");
         auto model = models::buildTinyModel("bert");
         model->initializeParams(47);
-        TensorParallelStep step =
-            runTensorParallelStep(model, shard_embedding, 8, 64);
+        TensorParallelStep step = runTensorParallelStep(
+            model,
+            baselines::ScheduleRecipe::tensorParallel(2, 0.0, shard_embedding),
+            8, 64);
         expectTrainingLossMatches(step);
 
         // Check one sharded gradient: fc2 (row-parallel) of layer 0.
@@ -461,9 +464,168 @@ TEST(Autograd, TensorParallelTrainingMatchesSingleDeviceMidBert)
         SCOPED_TRACE(shard_embedding ? "shard_embedding" : "dense embedding");
         auto model = std::make_shared<models::BertModel>(config, "BertModel");
         model->initializeParams(7);
-        expectTrainingLossMatches(
-            runTensorParallelStep(model, shard_embedding, 64, 2048));
+        expectTrainingLossMatches(runTensorParallelStep(
+            model,
+            baselines::ScheduleRecipe::tensorParallel(2, 0.0, shard_embedding),
+            64, 2048));
     }
+}
+
+TEST(Autograd, TensorParallelFusedAttentionMatchesDecomposed)
+{
+    // TP=2 runs the fused op on each rank's local heads, reading the
+    // interleaved q, k and v groups of its QKV shard. Each rank's loss and
+    // QKV gradients equal those of the same schedule with CoreAttention,
+    // which narrows the packed QKV itself, bit for bit.
+    for (const char* name : {"bert", "opt"}) {
+        SCOPED_TRACE(name);
+        auto recipe = baselines::ScheduleRecipe::tensorParallel(2, 0.0);
+        auto decomposed_recipe = recipe;
+        decomposed_recipe.flash_attention = false;
+        auto model = models::buildTinyModel(name);
+        model->initializeParams(47);
+        TensorParallelStep fused =
+            runTensorParallelStep(model->clone(), recipe, 8, 64);
+        TensorParallelStep decomposed =
+            runTensorParallelStep(model, decomposed_recipe, 8, 64);
+        int64_t qkv_params = 0;
+        for (int r = 0; r < 2; ++r) {
+            const float loss = fused.results[r].outputs[0].at(0);
+            const float want = decomposed.results[r].outputs[0].at(0);
+            EXPECT_EQ(std::memcmp(&loss, &want, sizeof(float)), 0)
+                << "rank " << r << ": " << loss << " vs " << want;
+            const auto fused_params = fused.replicas[r]->namedParams();
+            const auto ref_params = decomposed.replicas[r]->namedParams();
+            ASSERT_EQ(fused_params.size(), ref_params.size());
+            for (size_t i = 0; i < fused_params.size(); ++i) {
+                if (fused_params[i].first.find(".qkv.") == std::string::npos) {
+                    continue;
+                }
+                ++qkv_params;
+                const Tensor got = AutogradEngine::gradFor(
+                    fused.results[r], *fused_params[i].second);
+                const Tensor expected = AutogradEngine::gradFor(
+                    decomposed.results[r], *ref_params[i].second);
+                ASSERT_EQ(got.shape(), expected.shape());
+                EXPECT_EQ(std::memcmp(got.data(), expected.data(),
+                                      got.numel() * sizeof(float)),
+                          0)
+                    << "rank " << r << " " << fused_params[i].first;
+            }
+        }
+        EXPECT_GT(qkv_params, 0);
+    }
+}
+
+/** x [2, 3n] -> three narrows of width 16 -> (q + k) * v -> MSE loss. */
+class ThreeNarrows : public nn::Module
+{
+  public:
+    explicit ThreeNarrows(int64_t n) : Module("ThreeNarrows"), n_(n) {}
+
+    std::vector<nn::Value>
+    forward(const std::vector<nn::Value>& in) override
+    {
+        nn::Value q = nn::F::narrow(in[0], -1, 0, 16);
+        nn::Value k = nn::F::narrow(in[0], -1, n_, 16);
+        nn::Value v = nn::F::narrow(in[0], -1, 2 * n_, 16);
+        return {nn::F::mseLoss(nn::F::mul(nn::F::add(q, k), v), in[1])};
+    }
+
+    ModulePtr
+    clone() const override
+    {
+        auto m = std::make_shared<ThreeNarrows>(n_);
+        cloneInto(m.get());
+        return m;
+    }
+
+  private:
+    int64_t n_;
+};
+
+TEST(Autograd, NarrowGradientsShareOneBuffer)
+{
+    // The narrows of one value add into slices of one zero-filled
+    // gradient, with the bits of the former zero-filled copies added
+    // together (v's first, then k's, then q's).
+    const int64_t n = 4096;
+    ThreeNarrows model(n);
+    Tensor x = Tensor::uniform({2, 3 * n}, 1.0f, 71);
+    Tensor t = Tensor::uniform({2, 16}, 1.0f, 72);
+    const int64_t allocated0 = obs::metrics().tensor_allocated_bytes.get();
+    AutogradEngine engine;
+    GradResult result = engine.run(model, {x, t});
+    const int64_t allocated =
+        obs::metrics().tensor_allocated_bytes.get() - allocated0;
+
+    // The same step with q, k and v as inputs gives their gradients.
+    Tensor q = ops::narrow(x, 1, 0, 16);
+    Tensor k = ops::narrow(x, 1, n, 16);
+    Tensor v = ops::narrow(x, 1, 2 * n, 16);
+    Tensor qk = ops::add(q, k);
+    Tensor g = ops::mseLossBackward(ops::mul(qk, v), t);
+    Tensor gqk = ops::mul(g, v);
+    auto scatter = [&](const Tensor& part, int64_t start) {
+        Tensor full = Tensor::zeros(x.shape());
+        for (int64_t r = 0; r < 2; ++r) {
+            for (int64_t j = 0; j < 16; ++j) {
+                full.set(r * 3 * n + start + j, part.at(r * 16 + j));
+            }
+        }
+        return full;
+    };
+    const Tensor expected =
+        ops::add(ops::add(scatter(ops::mul(g, qk), 2 * n), scatter(gqk, n)),
+                 scatter(gqk, 0));
+    const Tensor& got = result.input_grads[0];
+    ASSERT_EQ(got.shape(), expected.shape());
+    EXPECT_EQ(std::memcmp(got.data(), expected.data(),
+                          got.numel() * sizeof(float)),
+              0);
+    // One full-width buffer; everything else is 16 columns wide.
+    const int64_t full_bytes =
+        alloc::sizeClassFor(x.numel()) * static_cast<int64_t>(sizeof(float));
+    EXPECT_GE(allocated, full_bytes);
+    EXPECT_LT(allocated, 2 * full_bytes);
+}
+
+/** x [2, 8] -> linear -> reshape -> dropout(p = 0) -> MSE loss. */
+class ViewChain : public nn::Module
+{
+  public:
+    ViewChain() : Module("ViewChain")
+    {
+        registerParam("weight", Tensor::meta({4, 8}));
+    }
+
+    std::vector<nn::Value>
+    forward(const std::vector<nn::Value>& in) override
+    {
+        nn::Value y = nn::F::linear(in[0], param("weight"), nn::Value());
+        y = nn::F::dropout(nn::F::reshape(y, {8}), 0.0, 3);
+        return {nn::F::mseLoss(y, in[1])};
+    }
+
+    ModulePtr
+    clone() const override
+    {
+        auto m = std::make_shared<ViewChain>();
+        cloneInto(m.get());
+        return m;
+    }
+};
+
+TEST(Autograd, StoredActivationBytesCountUniqueStorage)
+{
+    // The reshape view and the p = 0 dropout share the linear output's
+    // storage: only it and the loss are stored.
+    ViewChain model;
+    model.initializeParams(73);
+    AutogradEngine engine;
+    GradResult result = engine.run(
+        model, {Tensor::uniform({2, 8}, 1.0f, 74), Tensor::zeros({8})});
+    EXPECT_EQ(result.stored_activation_bytes, (8 + 1) * 4);
 }
 
 TEST(DistExecutor, RowParallelLinearTracedAfterSyncMatchesDense)
